@@ -4,21 +4,24 @@
 //! Measures the cost of one exchange-round budget (engine construction plus
 //! `ROUNDS` holder-order rounds) as the shard count grows at `n = 100_000`:
 //! the sequential sweep isolates the overhead of the per-shard sampling
-//! phase plus the counting-sort exchange versus the monolithic engine
-//! (`k = 1` is bit-for-bit the single-engine path).  With
-//! `--features parallel` the same sweep exercises the threaded sampling
-//! phase instead.
+//! phase plus the counting-sort exchange versus the single-shard engine
+//! (`k = 1`, the protocol simulation's configuration).  With
+//! `--features parallel`, `step` samples multi-shard rounds on scoped
+//! threads, so the same sweep exercises the threaded sampling phase.
 //!
 //! Before the criterion sweep, a counting global allocator audits the
-//! kernel's arena contract: after a short warm-up, monolithic, sharded and
-//! masked-sharded rounds must perform **zero** heap allocations per round —
-//! all counting-sort and outbox scratch lives in reusable arenas owned by
-//! the plan executors.  (The audit runs on the benchmark binary only; the
-//! engines themselves are allocator-agnostic.)
+//! kernel's arena contract: after a short warm-up, single-shard, sharded
+//! and masked-sharded rounds must perform **zero** heap allocations per
+//! round — all counting-sort and outbox scratch lives in reusable arenas
+//! owned by the plan executors.  The audit runs the sequential schedule:
+//! under `parallel`, multi-shard rounds go through `step_in_order(0..k)`,
+//! because `step` spawns scoped worker threads there (thread stacks are
+//! runtime plumbing, not per-round engine allocations).  (The audit runs
+//! on the benchmark binary only; the engines themselves are
+//! allocator-agnostic.)
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use ns_graph::generators::random_regular;
-use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
@@ -95,13 +98,31 @@ fn settle_then_audit(label: &str, mut round: impl FnMut()) -> usize {
     audited
 }
 
+/// One multi-shard round on the sequential schedule (see the module docs):
+/// `step` / `step_masked` without the `parallel` feature, the equivalent
+/// `step_in_order(0..k)` with it.
+fn sequential_round(engine: &mut ShardedMixingEngine<'_>, order: &[usize], mask: Option<&[bool]>) {
+    #[cfg(feature = "parallel")]
+    engine.step_in_order(0.2, mask, order, &mut ());
+    #[cfg(not(feature = "parallel"))]
+    {
+        let _ = order;
+        match mask {
+            Some(mask) => engine.step_masked(0.2, mask, &mut ()),
+            None => engine.step(0.2, &mut ()),
+        }
+    }
+}
+
 /// Steady-state rounds must allocate nothing — in *both* draw modes: the
 /// `fast` lane buffer is arena scratch like everything else, growing once
 /// to its high-water mark and then recycled.
 fn audit_steady_state_allocations() {
     let n = 20_000;
     let graph = random_regular(n, DEGREE, &mut seeded_rng(3)).expect("graph");
+    let single_shard = Partition::single_shard(&graph).expect("partition");
     let partition = Partition::new(&graph, 4).expect("partition");
+    let order: Vec<usize> = (0..partition.shard_count()).collect();
     let mask: Vec<bool> = (0..n).map(|u| u % 5 != 0).collect();
 
     for mode in [DrawMode::Compat, DrawMode::Fast] {
@@ -109,22 +130,24 @@ fn audit_steady_state_allocations() {
             DrawMode::Compat => "compat",
             DrawMode::Fast => "fast",
         };
-        let mut engine = MixingEngine::one_walker_per_node(&graph).expect("engine");
+        // A single-shard engine never spawns threads, so `step` is the
+        // sequential schedule in both feature configs.
+        let mut engine =
+            ShardedMixingEngine::one_walker_per_node(&graph, &single_shard, 4).expect("engine");
         engine.set_draw_mode(mode);
-        let mut rng = seeded_rng(4);
-        let single = settle_then_audit(&format!("monolithic {tag}"), || {
-            engine.step_holder(0.2, &mut rng, &mut ());
+        let single = settle_then_audit(&format!("single-shard {tag}"), || {
+            engine.step(0.2, &mut ());
         });
 
         let mut sharded =
             ShardedMixingEngine::one_walker_per_node(&graph, &partition, 5).expect("engine");
         sharded.set_draw_mode(mode);
         let multi = settle_then_audit(&format!("sharded k=4 {tag}"), || {
-            sharded.step(0.2, &mut ());
+            sequential_round(&mut sharded, &order, None);
         });
 
         let masked = settle_then_audit(&format!("sharded k=4 + mask {tag}"), || {
-            sharded.step_masked(0.2, &mask, &mut ());
+            sequential_round(&mut sharded, &order, Some(&mask));
         });
 
         // The telemetry layer rides the same contract: span timers,
@@ -133,25 +156,23 @@ fn audit_steady_state_allocations() {
         // must stay at zero too.
         let registry = MetricsRegistry::new();
         engine.set_telemetry(Some(EngineTelemetry::register(&registry)));
-        let single_obs = settle_then_audit(&format!("monolithic {tag} + telemetry"), || {
-            engine.step_holder(0.2, &mut rng, &mut ());
+        let single_obs = settle_then_audit(&format!("single-shard {tag} + telemetry"), || {
+            engine.step(0.2, &mut ());
         });
         sharded.set_telemetry(Some(EngineTelemetry::register(&registry)));
         let multi_obs = settle_then_audit(&format!("sharded k=4 {tag} + telemetry"), || {
-            sharded.step(0.2, &mut ());
+            sequential_round(&mut sharded, &order, None);
         });
         let masked_obs =
             settle_then_audit(&format!("sharded k=4 + mask {tag} + telemetry"), || {
-                sharded.step_masked(0.2, &mask, &mut ());
+                sequential_round(&mut sharded, &order, Some(&mask));
             });
 
         // The arena contract of ns_graph::round: settled rounds allocate
-        // nothing.  (Threaded rounds spawn scoped threads per step; thread
-        // stacks are runtime plumbing, not per-round engine allocations, so
-        // the audit runs the sequential forms.)
+        // nothing.
         assert_eq!(
             single, 0,
-            "monolithic {tag} steady-state rounds must not allocate"
+            "single-shard {tag} steady-state rounds must not allocate"
         );
         assert_eq!(
             multi, 0,
@@ -163,7 +184,7 @@ fn audit_steady_state_allocations() {
         );
         assert_eq!(
             single_obs, 0,
-            "instrumented monolithic {tag} steady-state rounds must not allocate"
+            "instrumented single-shard {tag} steady-state rounds must not allocate"
         );
         assert_eq!(
             multi_obs, 0,
@@ -181,9 +202,6 @@ fn audit_steady_state_allocations() {
     audit_migration_allocations(&graph, &partition);
     audit_delta_allocations(&graph);
     audit_durable_allocations(&graph, &partition);
-
-    #[cfg(feature = "parallel")]
-    audit_pipelined_allocations(&graph, &partition);
 }
 
 /// The online-repartitioning exchange is arena scratch too: once the
@@ -207,6 +225,7 @@ fn audit_migration_allocations(graph: &ns_graph::Graph, partition: &Partition) {
     let other =
         Partition::from_assignment(graph, partition.shard_count(), shifted).expect("partition");
     let mut engine = ShardedMixingEngine::one_walker_per_node(graph, partition, 8).expect("engine");
+    let order: Vec<usize> = (0..partition.shard_count()).collect();
     let mut movers = Vec::new();
     let mut flip = false;
     // Pre-warm past the high-water ratchet: per-shard bucket sizes keep
@@ -218,7 +237,7 @@ fn audit_migration_allocations(graph: &ns_graph::Graph, partition: &Partition) {
         engine
             .migrate_borrowed_into(next, &mut movers)
             .expect("migrate");
-        engine.step(0.2, &mut ());
+        sequential_round(&mut engine, &order, None);
     }
     let audited = settle_then_audit("migrate + round k=4", || {
         flip = !flip;
@@ -226,7 +245,7 @@ fn audit_migration_allocations(graph: &ns_graph::Graph, partition: &Partition) {
         engine
             .migrate_borrowed_into(next, &mut movers)
             .expect("migrate");
-        engine.step(0.2, &mut ());
+        sequential_round(&mut engine, &order, None);
     });
     assert_eq!(
         audited, 0,
@@ -345,42 +364,6 @@ fn audit_durable_allocations(graph: &ns_graph::Graph, partition: &Partition) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The pipelined exchange allocates per *call* (the alternate outbox buffer
-/// and the scoped worker threads), never per *round*: doubling the round
-/// count of a settled engine must add zero allocations.
-#[cfg(feature = "parallel")]
-fn audit_pipelined_allocations(graph: &ns_graph::Graph, partition: &Partition) {
-    for mode in [DrawMode::Compat, DrawMode::Fast] {
-        let tag = match mode {
-            DrawMode::Compat => "compat",
-            DrawMode::Fast => "fast",
-        };
-        let mut engine =
-            ShardedMixingEngine::one_walker_per_node(graph, partition, 6).expect("engine");
-        engine.set_draw_mode(mode);
-        // Settle arenas and outboxes to their high-water marks.  The marks
-        // are workload-dependent (walkers redistribute every round), so
-        // settle adaptively like `settle_then_audit` does: keep running
-        // until a longer call stops allocating more than a shorter one.
-        engine.run_pipelined(0.2, 20);
-        let mut marginal = usize::MAX;
-        for _ in 0..50 {
-            let short = allocations_during(|| engine.run_pipelined(0.2, 10));
-            let long = allocations_during(|| engine.run_pipelined(0.2, 20));
-            marginal = long.saturating_sub(short);
-            if marginal == 0 {
-                break;
-            }
-        }
-        println!("pipelined marginal allocations over 10 extra rounds [{tag}]: {marginal}");
-        assert_eq!(
-            marginal, 0,
-            "pipelined {tag} rounds must not allocate beyond the per-call setup"
-        );
-        black_box(engine.position(0));
-    }
-}
-
 fn bench_shard_count_sweep(c: &mut Criterion) {
     let graph = random_regular(USERS, DEGREE, &mut seeded_rng(1)).expect("graph");
     let mut group = c.benchmark_group("sharded_mixing_100k");
@@ -395,7 +378,7 @@ fn bench_shard_count_sweep(c: &mut Criterion) {
                     let mut engine = ShardedMixingEngine::one_walker_per_node(&graph, partition, 7)
                         .expect("engine");
                     for _ in 0..ROUNDS {
-                        engine.step_auto(0.0, &mut ());
+                        engine.step(0.0, &mut ());
                     }
                     black_box(engine.position(0))
                 });

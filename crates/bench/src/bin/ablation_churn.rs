@@ -21,7 +21,7 @@
 //! ```
 
 use network_shuffle::prelude::*;
-use ns_bench::{fmt, print_table, scale_divisor, write_csv, DELTA, SEED};
+use ns_bench::{exit_with_error, fmt, print_table, scale_divisor, write_csv, DELTA, SEED};
 use ns_datasets::Dataset;
 
 fn main() {
@@ -29,7 +29,9 @@ fn main() {
     // Exact all-origin accounting is O(n · t · m): run the ablation on a
     // quarter-scale Twitch stand-in (~2.4k users) so the full sweep stays
     // interactive on one core.
-    let divisor = scale_divisor(Dataset::Twitch).max(4);
+    let divisor = scale_divisor(Dataset::Twitch)
+        .unwrap_or_else(|e| exit_with_error(&e))
+        .max(4);
     let generated = Dataset::Twitch
         .generate_scaled(divisor, SEED)
         .expect("twitch stand-in");

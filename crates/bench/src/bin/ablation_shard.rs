@@ -28,7 +28,7 @@
 //! ```
 
 use network_shuffle::prelude::*;
-use ns_bench::{fmt, print_table, scale_divisor, write_csv, DELTA, SEED};
+use ns_bench::{exit_with_error, fmt, print_table, scale_divisor, write_csv, DELTA, SEED};
 use ns_datasets::Dataset;
 use ns_graph::ensemble::DistributionEnsemble;
 use ns_graph::partition::{IntraShardTransition, Partition};
@@ -40,7 +40,9 @@ fn main() {
     // Exact all-origin accounting is O(n · t · (n + m)) here (the
     // cut-restricted operator uses the generic lane path): run on a
     // quarter-scale Twitch stand-in like the churn ablation.
-    let divisor = scale_divisor(Dataset::Twitch).max(4);
+    let divisor = scale_divisor(Dataset::Twitch)
+        .unwrap_or_else(|e| exit_with_error(&e))
+        .max(4);
     let generated = Dataset::Twitch
         .generate_scaled(divisor, SEED)
         .expect("twitch stand-in");

@@ -16,8 +16,10 @@
 //! and prefetching target.
 //!
 //! Both sweep orders of the unified kernel are measured: `walker` is the
-//! pure transport round (positions + CSR gather only), `holder` adds the
-//! per-node report buckets through the counting-sort exchange.  One warm-up
+//! pure transport round of `MixingEngine` (positions + CSR gather only),
+//! `holder` is the protocol round of the single-shard `ShardedMixingEngine`,
+//! which adds the per-node report buckets through the outbox and the
+//! counting-sort exchange.  One warm-up
 //! block runs before timing (it also settles the kernel arenas to their
 //! high-water marks); the timed block then counts allocations, so the
 //! emitted `allocs_per_round` doubles as the steady-state audit on the
@@ -34,8 +36,10 @@
 
 use ns_graph::generators::strided_circulant;
 use ns_graph::mixing_engine::MixingEngine;
+use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
+use ns_graph::sharded_engine::ShardedMixingEngine;
 use ns_graph::telemetry::EngineTelemetry;
 use ns_graph::Graph;
 use ns_obs::MetricsRegistry;
@@ -104,33 +108,58 @@ fn measure(
     laziness: f64,
     registry: &MetricsRegistry,
 ) -> Measurement {
-    let n = graph.node_count();
-    let mut engine = MixingEngine::one_walker_per_node(graph).expect("engine");
-    engine.set_draw_mode(mode);
     // Telemetry stays attached through the timed block: the allocs/round
-    // audit below therefore covers the instrumented hot path, which must
-    // record into its preregistered slots without allocating.
-    engine.set_telemetry(Some(EngineTelemetry::register(registry)));
-    let mut rng = seeded_rng(0xB0B);
-    let round = |engine: &mut MixingEngine, rng: &mut _| match order {
-        "walker" => engine.step(laziness, rng),
-        _ => engine.step_holder(laziness, rng, &mut ()),
-    };
+    // audit therefore covers the instrumented hot path, which must record
+    // into its preregistered slots without allocating.
+    let telemetry = Some(EngineTelemetry::register(registry));
+    if order == "walker" {
+        let mut engine = MixingEngine::one_walker_per_node(graph).expect("engine");
+        engine.set_draw_mode(mode);
+        engine.set_telemetry(telemetry);
+        let mut rng = seeded_rng(0xB0B);
+        time_rounds(graph, mode, order, rounds, || {
+            engine.step(laziness, &mut rng);
+            engine.round()
+        })
+    } else {
+        let partition = Partition::single_shard(graph).expect("partition");
+        let mut engine =
+            ShardedMixingEngine::one_walker_per_node(graph, &partition, 0xB0B).expect("engine");
+        engine.set_draw_mode(mode);
+        engine.set_telemetry(telemetry);
+        time_rounds(graph, mode, order, rounds, || {
+            engine.step(laziness, &mut ());
+            engine.round()
+        })
+    }
+}
+
+/// Runs a warm-up block, then `rounds` timed rounds of `round` (which
+/// returns the engine's round counter), counting allocations.
+fn time_rounds(
+    graph: &Graph,
+    mode: DrawMode,
+    order: &'static str,
+    rounds: usize,
+    mut round: impl FnMut() -> usize,
+) -> Measurement {
+    let n = graph.node_count();
     // Warm-up: pulls the CSR and position array through the cache hierarchy
     // once and settles the kernel arenas to their high-water marks.
     let warmup = rounds.clamp(2, 5);
+    let mut executed = 0;
     for _ in 0..warmup {
-        round(&mut engine, &mut rng);
+        executed = round();
     }
     let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
     let start = Instant::now();
     for _ in 0..rounds {
-        round(&mut engine, &mut rng);
+        executed = round();
     }
     let elapsed = start.elapsed().as_secs_f64();
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
     // Keep the final state observable so the loop cannot be elided.
-    assert_eq!(engine.round(), warmup + rounds);
+    assert_eq!(executed, warmup + rounds);
     Measurement {
         mode,
         order,

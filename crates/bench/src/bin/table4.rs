@@ -8,7 +8,7 @@
 //! cargo run --release -p ns-bench --bin table4
 //! ```
 
-use ns_bench::{dataset_graph, fmt, print_table, scale_divisor, write_csv};
+use ns_bench::{dataset_graph, exit_with_error, fmt, print_table, scale_divisor, write_csv};
 use ns_datasets::Dataset;
 use ns_graph::mixing::MixingProfile;
 use ns_graph::spectral::SpectralOptions;
@@ -28,7 +28,7 @@ fn main() {
     let mut rows = Vec::new();
 
     for dataset in Dataset::ALL {
-        let divisor = scale_divisor(dataset);
+        let divisor = scale_divisor(dataset).unwrap_or_else(|e| exit_with_error(&e));
         let generated = dataset_graph(dataset);
         let profile = MixingProfile::compute(&generated.graph, SpectralOptions::default())
             .expect("ergodic stand-in");

@@ -35,25 +35,53 @@ pub fn base_scale_divisor(dataset: Dataset) -> usize {
 
 /// Returns the scale divisor to apply to a dataset.
 ///
-/// Defaults to [`base_scale_divisor`].  Set `NS_BENCH_SCALE` to an integer
-/// `k` to further divide every dataset by `k` (useful for smoke tests), or
-/// to `full` to force full scale everywhere.
-pub fn scale_divisor(dataset: Dataset) -> usize {
+/// Defaults to [`base_scale_divisor`].  Set `NS_BENCH_SCALE` to a positive
+/// integer `k` to further divide every dataset by `k` (useful for smoke
+/// tests), or to `full` to force full scale everywhere.
+///
+/// # Errors
+///
+/// A message naming `NS_BENCH_SCALE` and its value if the variable is set
+/// to anything else.
+pub fn scale_divisor(dataset: Dataset) -> Result<usize, String> {
+    let raw = std::env::var_os("NS_BENCH_SCALE").map(|v| v.to_string_lossy().into_owned());
+    parse_scale_divisor(dataset, raw.as_deref())
+}
+
+/// [`scale_divisor`] over the raw `NS_BENCH_SCALE` value.
+fn parse_scale_divisor(dataset: Dataset, raw: Option<&str>) -> Result<usize, String> {
     let base = base_scale_divisor(dataset);
-    match std::env::var("NS_BENCH_SCALE") {
-        Ok(v) if v.eq_ignore_ascii_case("full") => 1,
-        Ok(v) => base * v.parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => base,
+    let Some(raw) = raw else {
+        return Ok(base);
+    };
+    if raw.eq_ignore_ascii_case("full") {
+        return Ok(1);
+    }
+    match raw.parse::<usize>() {
+        Ok(k) if k >= 1 => Ok(base.saturating_mul(k)),
+        _ => Err(format!(
+            "NS_BENCH_SCALE={raw:?} is neither `full` nor a positive integer"
+        )),
     }
 }
 
+/// Reports a fatal input error on stderr and exits with status 2 — how the
+/// experiment binaries fail closed on a malformed `NS_*` knob.
+pub fn exit_with_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
 /// Generates (or regenerates) a dataset stand-in at the default scale.
+///
+/// Exits with status 2 ([`exit_with_error`]) if `NS_BENCH_SCALE` is
+/// malformed.
 ///
 /// # Panics
 ///
 /// Panics if generation fails — experiment binaries treat that as fatal.
 pub fn dataset_graph(dataset: Dataset) -> GeneratedDataset {
-    let divisor = scale_divisor(dataset);
+    let divisor = scale_divisor(dataset).unwrap_or_else(|e| exit_with_error(&e));
     dataset.generate_scaled(divisor, SEED).unwrap_or_else(|e| {
         panic!("failed to generate {dataset} stand-in (divisor {divisor}): {e}")
     })
@@ -515,9 +543,23 @@ mod tests {
     #[test]
     fn default_scale_divisors() {
         // Without the env var set, only Google is scaled down.
-        if std::env::var("NS_BENCH_SCALE").is_err() {
-            assert_eq!(scale_divisor(Dataset::Twitch), 1);
-            assert_eq!(scale_divisor(Dataset::Google), 10);
+        assert_eq!(parse_scale_divisor(Dataset::Twitch, None), Ok(1));
+        assert_eq!(parse_scale_divisor(Dataset::Google, None), Ok(10));
+        if std::env::var_os("NS_BENCH_SCALE").is_none() {
+            assert_eq!(scale_divisor(Dataset::Google), Ok(10));
+        }
+    }
+
+    #[test]
+    fn bench_scale_knob_fails_closed() {
+        assert_eq!(parse_scale_divisor(Dataset::Google, Some("3")), Ok(30));
+        assert_eq!(parse_scale_divisor(Dataset::Google, Some("FULL")), Ok(1));
+        for raw in ["0", "-2", "ten", "", "4x"] {
+            let err = parse_scale_divisor(Dataset::Twitch, Some(raw)).unwrap_err();
+            assert!(
+                err.contains("NS_BENCH_SCALE") && err.contains(&format!("{raw:?}")),
+                "{err:?} must name the variable and {raw:?}"
+            );
         }
     }
 }

@@ -14,9 +14,9 @@
 //!   black-box simulator (e.g. dynamic graphs, availability-dependent
 //!   routing), which the paper lists as future work.
 //!
-//! Trials run on the same batched, struct-of-arrays
-//! [`ns_graph::mixing_engine::MixingEngine`] as the protocol simulation —
-//! one walker per origin, all origins per run — so a single run already
+//! Trials run on the struct-of-arrays walker-order engine
+//! [`ns_graph::mixing_engine::MixingEngine`] — one independent walker per
+//! origin, all origins per run — so a single run already
 //! provides `n` samples, and the `parallel` feature's deterministic chunked
 //! execution applies to Monte-Carlo estimation too.
 

@@ -100,7 +100,7 @@ pub struct CoordinatorConfig {
     pub tracked_per_shard: usize,
     /// How the exchange engine draws randomness
     /// ([`ns_graph::round::DrawMode`]); applied when the exchange phase
-    /// starts.  `Compat` is bitwise the classic single-engine realization;
+    /// starts.  `Compat` is bitwise the classic holder-order realization;
     /// `Fast` is a different, equally distributed realization.
     pub draw_mode: DrawMode,
 }
@@ -1193,13 +1193,13 @@ impl<'g, P: Clone> ShuffleCoordinator<'g, P> {
         let mut observer = ObservedRounds::new(&mut self.recorder, traffic);
         for _ in 0..rounds {
             match &self.outages {
-                None => engine.step_auto(self.config.laziness, &mut observer),
+                None => engine.step(self.config.laziness, &mut observer),
                 Some(schedule) => {
                     // Round t (0-based) runs under mask(t); the accountant's
                     // scheduled operator applies the same mask at the same
                     // clock, so quotes track the realized walk exactly.
                     let mask = schedule.mask(engine.round());
-                    engine.step_masked_auto(self.config.laziness, mask, &mut observer);
+                    engine.step_masked(self.config.laziness, mask, &mut observer);
                 }
             }
             self.accountant.advance_round();

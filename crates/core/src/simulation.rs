@@ -13,11 +13,12 @@
 //! 4. at the final round every user uploads according to the chosen protocol
 //!    (`A_all` or `A_single`), and the curator decrypts and aggregates.
 //!
-//! Since the batched-engine refactor, the exchange phase is executed by
-//! [`ns_graph::mixing_engine::MixingEngine`] over struct-of-arrays state:
-//! the curator-sealed envelopes live in a flat arena keyed by report id
-//! (= origin), the engine moves report ids between holders with counting-sort
-//! routing, and the Table 3 traffic metrics stream out of the engine's
+//! The exchange phase is executed by the holder-order engine
+//! [`ns_graph::sharded_engine::ShardedMixingEngine`] over the single-shard
+//! partition, on struct-of-arrays state: the curator-sealed envelopes live
+//! in a flat arena keyed by report id (= origin), the engine moves report
+//! ids between holders with counting-sort routing, and the Table 3 traffic
+//! metrics stream out of the engine's
 //! [`RoundObserver`](ns_graph::mixing_engine::RoundObserver) hook instead of
 //! being collected per client afterwards.  The historical per-client
 //! message-passing loop — one [`Client`](crate::protocol::client::Client) object per user, with
@@ -27,9 +28,11 @@
 //! submissions and metrics) and the comparison subject for the engine
 //! benchmarks.
 //!
-//! Holder-order rounds in the engine consume the RNG draw-for-draw like the
-//! reference loop, so the two paths produce bit-identical outcomes for any
-//! `(graph, seed, rounds, laziness, protocol)`.
+//! The engine's one shard draws from `shard_stream(seed, 0)`, which is
+//! exactly `SimRng::seed_from_u64(seed)`, and its holder-order rounds
+//! consume it draw-for-draw like the reference loop; finalization draws
+//! continue the same stream.  So the two paths produce bit-identical
+//! outcomes for any `(graph, seed, rounds, laziness, protocol)`.
 
 use crate::crypto::Envelope;
 use crate::error::{Error, Result};
@@ -39,7 +42,9 @@ use crate::protocol::ProtocolKind;
 use crate::report::Report;
 use crate::server::{CollectedReports, Curator};
 use ns_graph::mixing_engine::MixingEngine;
+use ns_graph::partition::Partition;
 use ns_graph::rng::SimRng;
+use ns_graph::sharded_engine::ShardedMixingEngine;
 use ns_graph::walk::{validate_laziness, WalkConfig};
 use ns_graph::Graph;
 use rand_chacha::rand_core::SeedableRng;
@@ -89,11 +94,6 @@ impl SimulationConfig {
     pub fn validate(&self) -> Result<()> {
         validate_laziness(self.laziness).map_err(Error::InvalidConfiguration)
     }
-
-    /// The walk configuration of the exchange phase.
-    pub fn walk(&self) -> WalkConfig {
-        WalkConfig::lazy(self.rounds, self.laziness)
-    }
 }
 
 /// Result of one protocol run.
@@ -127,8 +127,8 @@ fn validate_run_inputs<P>(
     Ok(n)
 }
 
-/// Runs one complete network-shuffling protocol execution on the batched
-/// mixing engine.
+/// Runs one complete network-shuffling protocol execution on the
+/// holder-order engine over the single-shard partition.
 ///
 /// `payloads[i]` is user `i`'s already locally-randomized report payload;
 /// `make_dummy` produces a dummy payload for `A_single` users who end the
@@ -192,7 +192,6 @@ fn run_protocol_inner<P: Clone>(
     mut make_dummy: impl FnMut(&mut SimRng) -> P,
 ) -> Result<SimulationOutcome<P>> {
     let n = validate_run_inputs(graph, &payloads, &config)?;
-    let mut rng = SimRng::seed_from_u64(config.seed);
 
     // Key setup (Figure 3): the curator's envelope key pair.  Per-user
     // end-to-end keys only exist on the wire; the arena path has no
@@ -211,26 +210,22 @@ fn run_protocol_inner<P: Clone>(
         })
         .collect();
 
-    // Exchange phase: batched holder-order rounds, metrics streamed.
-    let mut engine = MixingEngine::one_walker_per_node(graph)?;
+    // Exchange phase: holder-order rounds on the one shard, whose stream is
+    // `SimRng::seed_from_u64(config.seed)`; metrics streamed.
+    let partition = Partition::single_shard(graph)?;
+    let mut engine = ShardedMixingEngine::one_walker_per_node(graph, &partition, config.seed)?;
     let mut recorder = TrafficRecorder::new(n);
-    match outages {
-        None => engine.run_holder_observed(config.walk(), &mut rng, &mut recorder)?,
-        Some(schedule) => {
-            for t in 0..config.rounds {
-                engine.step_holder_masked(
-                    config.laziness,
-                    schedule.mask(t),
-                    &mut rng,
-                    &mut recorder,
-                );
-            }
+    for t in 0..config.rounds {
+        match outages {
+            None => engine.step(config.laziness, &mut recorder),
+            Some(schedule) => engine.step_masked(config.laziness, schedule.mask(t), &mut recorder),
         }
     }
 
     // Final round: submissions stream to the curator, holders in user order
-    // (no intermediate submission buffer).
-    engine.ensure_buckets();
+    // (no intermediate submission buffer), drawing from where the walk left
+    // the shard stream.
+    let mut rng = engine.shard_rng_mut(0).clone();
     let policy: FinalizePolicy = config.protocol.into();
     let collected = curator.collect_from((0..n).map(|submitter| {
         let held = engine.held_by(submitter);

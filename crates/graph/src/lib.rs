@@ -23,10 +23,9 @@
 //!   `Γ_G = n · Σ_i π_i²` ([`stationary`], [`degree`]),
 //! * spectral-gap estimation via deflated power iteration ([`spectral`]) and
 //!   the mixing-time rule `t ≈ α⁻¹ log n` ([`mixing`]),
-//! * a batched, struct-of-arrays round-execution core shared by the walk
-//!   engine and the protocol simulation, with streaming per-round metrics,
-//!   per-round availability masks and optional data-parallel rounds
-//!   ([`mixing_engine`]),
+//! * a struct-of-arrays walker-order engine for independent Monte-Carlo
+//!   walkers, with per-round availability masks and optional data-parallel
+//!   rounds ([`mixing_engine`]),
 //! * time-varying topologies: a dynamic-graph delta layer with incremental
 //!   CSR snapshots, availability-masked transition operators and per-round
 //!   operator schedules that drive the ensemble kernel through products of
@@ -37,11 +36,12 @@
 //! * a sharded runtime: a deterministic degree-balanced graph partitioner
 //!   with shard-local CSRs, frontier tables and quality metrics
 //!   ([`partition`]), and a multi-shard round executor with per-shard
-//!   ChaCha8 streams and a counting-sort cross-shard exchange phase that
-//!   degenerates bit for bit to the single engine under a 1-shard
-//!   partition ([`sharded_engine`]),
-//! * a discrete random-walk engine that moves actual reports between nodes,
-//!   including the lazy walk used for fault-tolerance modelling ([`walk`]),
+//!   ChaCha8 streams and a counting-sort cross-shard exchange phase — the
+//!   protocol's holder-order rounds for any shard count, a 1-shard
+//!   partition included, with streaming per-round metrics
+//!   ([`sharded_engine`]) over the shared round kernel ([`round`]),
+//! * the walk configuration, including the lazy walk used for
+//!   fault-tolerance modelling ([`walk`]),
 //! * simple edge-list I/O ([`io`]).
 //!
 //! # Example
@@ -58,12 +58,14 @@
 //! assert!(t_mix > 0);
 //! ```
 
-// `deny` rather than `forbid`: the distribution-ensemble gather kernels in
+// `deny` rather than `forbid`: two places carry audited
+// `allow(unsafe_code)` blocks.  The distribution-ensemble gather kernels in
 // `transition.rs` (`TransitionMatrix::propagate_fixed` and its AVX2
-// instantiation `propagate_gather8_avx2`) carry audited
-// `allow(unsafe_code)` blocks — unchecked CSR/neighbour indexing and
-// raw-pointer lane loads justified by construction invariants, plus an
-// x86-64 prefetch hint.  Everything else in the crate stays safe.
+// instantiation `propagate_gather8_avx2`) use unchecked CSR/neighbour
+// indexing and raw-pointer lane loads justified by construction
+// invariants, plus an x86-64 prefetch hint; `round::prefetch_read` issues
+// the round kernel's bounds-checked x86-64 prefetch hint.  Everything else
+// in the crate — both engines included — stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -115,5 +117,5 @@ pub mod prelude {
     pub use crate::spectral::{SpectralAnalysis, SpectralOptions};
     pub use crate::stationary::stationary_distribution;
     pub use crate::transition::{BlackBoxModel, TransitionMatrix, TransitionModel};
-    pub use crate::walk::{LazyWalk, WalkConfig, WalkEngine};
+    pub use crate::walk::WalkConfig;
 }

@@ -160,8 +160,8 @@ impl Partition {
 
     /// The canonical 1-shard partition: identity remapping, the whole graph
     /// as the single shard CSR, an empty frontier.  Under this partition the
-    /// sharded engine degenerates bit for bit to the single
-    /// [`crate::mixing_engine::MixingEngine`] path.
+    /// sharded engine runs the protocol's holder-order rounds exactly like
+    /// the historical single-loop simulation, draw for draw.
     ///
     /// # Errors
     ///
@@ -171,7 +171,21 @@ impl Partition {
         if n == 0 {
             return Err(GraphError::EmptyGraph);
         }
-        Ok(Self::from_assignment_internal(graph, 1, vec![0; n]))
+        // The one shard is the graph itself, so its CSR is a straight copy
+        // rather than an edge-by-edge rebuild (n < 2^32 by the graph's
+        // construction bound).
+        Ok(Partition {
+            node_count: n,
+            edge_count: graph.edge_count(),
+            cut_edge_count: 0,
+            shard_of: vec![0; n],
+            local_of: (0..n as u32).collect(),
+            shards: vec![Shard {
+                nodes: (0..n).collect(),
+                local_graph: graph.clone(),
+                frontier: Vec::new(),
+            }],
+        })
     }
 
     /// Builds a partition from an explicit node → shard assignment — the
@@ -399,7 +413,7 @@ impl Partition {
     /// Returns the refined node → shard assignment plus the moved nodes in
     /// ascending id order.  The caller materializes the result with
     /// [`Partition::from_assignment`] on a snapshot and hands the movers to
-    /// [`crate::sharded_engine::ShardedMixingEngine::migrate`]; masking the
+    /// [`crate::sharded_engine::ShardedMixingEngine::migrate_owned`]; masking the
     /// movers for one round prices the migration through the accountant's
     /// existing masked-operator path.  Deterministic in
     /// `(partition, graph, seeds, max_moves)`.

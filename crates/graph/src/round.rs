@@ -1,33 +1,30 @@
-//! The unified round-execution kernel: one holder-order step routine for
-//! every engine.
+//! The unified round-execution kernel: one holder-order step routine and
+//! one walker-order sweep behind both engines.
 //!
-//! Historically the holder-order exchange round existed in four divergent
-//! copies — `MixingEngine::step_holder`, `MixingEngine::step_holder_masked`,
-//! the dynamic retarget path and the per-shard loop in
-//! [`crate::sharded_engine`] — so every new scenario axis (masking, churn,
-//! sharding) multiplied loop variants instead of composing.  This module is
-//! the merge point: the *update stream* (which topology, which availability
-//! mask, which RNG stream) is described by a [`RoundPlan`], and a single
-//! pair of phase routines executes it for every engine:
+//! The *update stream* of a round (which topology, which availability mask,
+//! which RNG stream) is described by a [`RoundPlan`], and a single pair of
+//! phase routines executes a holder-order round over one holder range —
+//! one shard of [`crate::sharded_engine::ShardedMixingEngine`], or the
+//! whole graph under a single-shard partition:
 //!
 //! * [`decide_holder_moves`] — the **decide phase**: sweep a holder range in
 //!   id order, each holder's bucket in insertion order, drawing every
 //!   walker's move through the one sampling rule (`sample_move_masked`).
 //!   Survivors (lazy stays *and* masked bounces) are appended to the
 //!   caller's [`RoundArena`], and every delivery is appended to the arena's
-//!   delivery buffers in send order — the monolithic engine replays them as
-//!   a flat arrival list, the sharded engine routes them into
-//!   per-destination shard outboxes.
+//!   delivery buffers in send order, from which the sharded engine routes
+//!   them into per-destination-shard outboxes.
 //! * [`merge_round_buckets`] — the **merge phase**: one counting sort that
 //!   rebuilds the next round's holder buckets from survivors (first, in
 //!   previous bucket order) and an ordered arrival stream (second, in the
-//!   order the caller replays it).  The monolithic engine replays its own
-//!   send order; the sharded engine replays arrivals grouped by source
-//!   shard in ascending id — which is exactly what makes its exchange phase
-//!   execution-order-free.
+//!   order the caller replays it).  The sharded engine replays arrivals
+//!   grouped by source shard in ascending id — which is exactly what makes
+//!   its exchange phase execution-order-free, and under one shard is the
+//!   global send order of a message-passing simulation.
 //!
 //! [`sweep_walker_order`] is the degenerate walker-order form (no buckets,
-//! no statistics) behind `MixingEngine::step` / `step_masked`.
+//! no statistics) behind [`crate::mixing_engine::MixingEngine::step`] /
+//! `step_masked`.
 //!
 //! # The `RoundPlan` contract
 //!
@@ -56,10 +53,10 @@
 //!   (retarget), and masked × sharded rounds are all executions of this one
 //!   routine, so their degeneracies are exact: all-available masks
 //!   reproduce the unmasked round bitwise (RNG stream included), and a
-//!   1-shard plan reproduces the monolithic engine bitwise.  Multi-shard
-//!   plans split the RNG into per-shard streams, so *across* shard counts
-//!   the walk is statistically equivalent, never bitwise — the one
-//!   composition that is statistical rather than exact.
+//!   1-shard plan reproduces the historical holder-order loop bitwise.
+//!   Multi-shard plans split the RNG into per-shard streams, so *across*
+//!   shard counts the walk is statistically equivalent, never bitwise —
+//!   the one composition that is statistical rather than exact.
 //! * **Conservation.**  In debug builds the merge asserts that the
 //!   counting-sort cursors land exactly on their bucket boundaries (the
 //!   two arrival replays agree), and each engine asserts after the merge
@@ -216,7 +213,7 @@ impl<'a> RoundPlan<'a> {
 }
 
 /// Reusable counting-sort scratch owned by a plan executor — one per
-/// monolithic engine, one per shard.  Buffers grow to their steady-state
+/// shard.  Buffers grow to their steady-state
 /// capacity during the first rounds and are only ever cleared afterwards,
 /// so warm rounds perform no heap allocation.
 #[derive(Debug, Clone, Default)]
@@ -232,8 +229,7 @@ pub struct RoundArena {
     /// Per-node scatter cursors of the counting sort.
     pub(crate) cursor: Vec<usize>,
     /// This round's deliveries in send order: destination (global node,
-    /// u32-compressed) of each delivered walker.  The monolithic engine
-    /// replays these as its flat arrival list; the sharded engine routes
+    /// u32-compressed) of each delivered walker.  The sharded engine routes
     /// them into per-destination-shard outboxes.
     pub(crate) deliver_dests: Vec<u32>,
     /// Walker ids parallel to `deliver_dests`.
@@ -283,8 +279,8 @@ pub struct HolderBuckets<'a> {
 /// [`DrawMode::Compat`].
 ///
 /// `holders` enumerates `(local index, global node)` pairs in the order the
-/// range is swept — `(u, u)` for the monolithic engine, the shard's
-/// `(local id, global id)` table for a shard.  Each holder's walkers (its
+/// range is swept — the shard's `(local id, global id)` table (`(u, u)`
+/// under a single-shard partition).  Each holder's walkers (its
 /// [`HolderBuckets`] slice) are visited in insertion order and each draws
 /// one move from `rng` through the plan's sampling rule.  Survivors — lazy
 /// stays *and* masked bounces — are appended to `arena`; every delivery is

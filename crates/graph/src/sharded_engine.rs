@@ -1,41 +1,48 @@
-//! Multi-shard execution of exchange rounds with deterministic RNG splitting.
+//! Holder-order execution of exchange rounds, for any shard count, with
+//! deterministic RNG splitting.
 //!
-//! [`ShardedMixingEngine`] runs the unified holder-order round kernel
-//! ([`crate::round`]) independently per shard of a
-//! [`crate::partition::Partition`], then routes cross-shard deliveries
-//! through per-shard outboxes with one counting-sort exchange phase per
-//! round.  Because the per-shard decide sweep *is* the kernel's
-//! [`crate::round::decide_holder_moves`], every scenario axis the kernel
-//! supports composes here: masked rounds
-//! ([`ShardedMixingEngine::step_masked`] — a delivery to an unavailable
+//! [`ShardedMixingEngine`] is the one engine that runs the protocol's
+//! exchange step in **holder order**: nodes are visited in id order, each
+//! node's held reports in bucket order, and every report either stays
+//! (probability `laziness`) or is sent to a uniformly random neighbour.  It
+//! runs the unified round kernel ([`crate::round`]) independently per shard
+//! of a [`crate::partition::Partition`], then routes deliveries through
+//! per-shard outboxes with one counting-sort exchange phase per round.
+//! Protocol runs that need no sharding use
+//! [`Partition::single_shard`](crate::partition::Partition::single_shard).
+//! Independent Monte-Carlo walkers with no holder buckets run in
+//! [`MixingEngine`](crate::mixing_engine::MixingEngine) instead.
+//!
+//! Sharding, masking and the shard schedule are inputs to one round, not
+//! separate code paths: [`ShardedMixingEngine::step`] and
+//! [`ShardedMixingEngine::step_masked`] (a delivery to an unavailable
 //! recipient bounces back through the return exchange and rejoins its
-//! holder as a survivor) and live topology churn
-//! ([`ShardedMixingEngine::retarget`]) run through the same loop as the
-//! static rounds, not through divergent copies.  The design contracts:
+//! holder as a survivor) run the same loop, live topology churn
+//! ([`ShardedMixingEngine::retarget_owned`]) and online repartitioning
+//! ([`ShardedMixingEngine::migrate_owned`]) swap the inputs between rounds.
+//! The design contracts:
 //!
 //! * **Seed-only determinism.**  Shard `s` draws from its own ChaCha8 stream
 //!   ([`shard_stream`]), and a round's result depends only on
 //!   `(seed, partition, starts)` — never on the order shards were executed
 //!   in ([`ShardedMixingEngine::step_in_order`] is the audit hook) nor, under
-//!   the `parallel` feature, on how many threads ran them
-//!   (`ShardedMixingEngine::step_threaded`).
+//!   the `parallel` feature where `step` samples shards on scoped threads,
+//!   on how many threads ran them.
 //! * **Canonical merge order.**  After the per-shard sampling phase, each
 //!   node's next-round bucket lists its survivors first (in previous bucket
 //!   order) and then its arrivals grouped by *source shard id* in ascending
 //!   order, each group in that shard's send order.  This is a fixed function
 //!   of the per-shard draws, which is what makes the exchange phase
 //!   execution-order-free.
-//! * **1-shard degeneracy.**  Under [`crate::partition::Partition::single_shard`]
-//!   the engine is **bit for bit** the single
-//!   [`MixingEngine`](crate::mixing_engine::MixingEngine) holder-order
-//!   path: [`shard_stream`]`(seed, 0)` is exactly
-//!   `SimRng::seed_from_u64(seed)`, the sampling sweep visits the same
-//!   nodes and walkers in the same order drawing through the same
-//!   [`crate::mixing_engine`] sampling rule, and the merge degenerates to the
-//!   engine's counting sort — positions, bucket orders, per-round
-//!   sent/load statistics and the RNG stream itself all coincide
-//!   (`tests/sharded_engine.rs`).  For `k > 1` the split streams are a
-//!   *different but equally distributed* realization of the same walk.
+//! * **1-shard degeneracy.**  Under a single-shard partition the round is
+//!   the historical holder-order loop draw for draw:
+//!   [`shard_stream`]`(seed, 0)` is exactly `SimRng::seed_from_u64(seed)`,
+//!   the sweep visits nodes and walkers in id and insertion order, and the
+//!   merge lists survivors first, then arrivals in global send order —
+//!   positions, bucket orders, per-round sent/load statistics and the RNG
+//!   stream itself are pinned by the golden round traces
+//!   (`tests/golden/round_traces.txt`).  For `k > 1` the split streams are
+//!   a *different but equally distributed* realization of the same walk.
 //!
 //! Shards share the one immutable global CSR for neighbour sampling — this
 //! is a single-box, multi-core runtime; the per-shard CSRs and frontier
@@ -49,14 +56,13 @@ use crate::partition::Partition;
 use crate::rng::{mix64, SimRng};
 use crate::round::{self, DrawMode, RoundArena, RoundPlan};
 use crate::telemetry::EngineTelemetry;
-use crate::walk::WalkConfig;
 use rand_chacha::rand_core::SeedableRng;
 
 /// The deterministic RNG stream of shard `shard` under `seed`.
 ///
 /// Shard 0 inherits the base stream `SimRng::seed_from_u64(seed)` — so the
-/// canonical 1-shard engine consumes exactly the stream the single-engine
-/// path would — and every further shard gets a SplitMix64-decorrelated
+/// 1-shard engine consumes exactly the stream of
+/// `SimRng::seed_from_u64(seed)` — and every further shard gets a SplitMix64-decorrelated
 /// stream of its own.
 pub fn shard_stream(seed: u64, shard: usize) -> SimRng {
     if shard == 0 {
@@ -87,7 +93,7 @@ struct ShardState {
 ///
 /// Bucket CSRs must be captured, not rebuilt: a running engine's bucket
 /// order is history-dependent (survivors first, then arrivals grouped by
-/// source shard), whereas [`ShardedMixingEngine::migrate`]'s deterministic
+/// source shard), whereas [`ShardedMixingEngine::migrate_owned`]'s deterministic
 /// rebuild produces walker-id order.  Restoring via a rebuild would be a
 /// *distribution-identical but not bitwise* continuation — exactly what the
 /// durable runtime's recovery proof forbids.
@@ -187,7 +193,8 @@ pub struct ShardedMixingEngine<'g> {
     load: Vec<u32>,
     /// Attached telemetry (`None` = the no-op path).  Inert by
     /// construction — recording never draws randomness or touches round
-    /// state — and shared across the pipelined workers (`Sync` handles).
+    /// state — and shared across the threaded sampling workers (`Sync`
+    /// handles).
     telemetry: Option<EngineTelemetry>,
 }
 
@@ -209,8 +216,7 @@ impl<'g> ShardedMixingEngine<'g> {
 
     /// Creates a sharded engine with walkers at the given starting nodes.
     ///
-    /// Initial buckets group walkers by holder in walker-id order, exactly
-    /// like [`crate::mixing_engine::MixingEngine::ensure_buckets`].
+    /// Initial buckets group walkers by holder in walker-id order.
     ///
     /// # Errors
     ///
@@ -265,9 +271,7 @@ impl<'g> ShardedMixingEngine<'g> {
             .collect();
         // Initial buckets: route each walker to its shard once, then run
         // the kernel's counting-sort merge per shard with no survivors and
-        // the shard's arrivals (in walker-id order) as the stream —
-        // exactly like
-        // [`crate::mixing_engine::MixingEngine::ensure_buckets`].
+        // the shard's arrivals (in walker-id order) as the stream.
         let mut initial_arrivals: Vec<Vec<(usize, u32)>> = vec![Vec::new(); k];
         for (walker, &node) in starts.iter().enumerate() {
             initial_arrivals[partition.shard_of(node)]
@@ -395,10 +399,11 @@ impl<'g> ShardedMixingEngine<'g> {
 
     /// Mutable access to shard `shard`'s RNG stream.
     ///
-    /// The service layer draws its final-round submission choices from the
-    /// submitter's shard stream, so a 1-shard deployment consumes the walk
-    /// *and* finalization draws exactly like the single-engine protocol
-    /// path.
+    /// The protocol's final-round submission choices are drawn from the
+    /// submitter's shard stream, so a 1-shard run consumes the walk *and*
+    /// finalization draws from the one stream `SimRng::seed_from_u64(seed)`
+    /// — which is what makes `simulation::run_protocol` and a 1-shard
+    /// coordinator bitwise interchangeable.
     ///
     /// # Panics
     ///
@@ -456,8 +461,10 @@ impl<'g> ShardedMixingEngine<'g> {
     /// [`GraphError::InvalidParameters`] if the checkpoint's shape is
     /// inconsistent with `(graph, partition)` — wrong shard count, bucket
     /// CSRs that don't cover the shard's local nodes, walkers missing or
-    /// duplicated, or a walker bucketed at a node other than its recorded
-    /// position.  Also the usual topology errors from
+    /// duplicated, a walker bucketed at a node other than its recorded
+    /// position, or an RNG clock no stream can reach (a cursor past the
+    /// 16-word block, or a mid-block cursor before the first block was
+    /// generated).  Also the usual topology errors from
     /// [`ShardedMixingEngine::with_starts`] validation.
     pub fn restore_checkpoint(
         graph: &'g Graph,
@@ -494,6 +501,15 @@ impl<'g> ShardedMixingEngine<'g> {
         // exactly one bucket, at the local node its position maps to.
         let mut seen = vec![false; checkpoint.positions.len()];
         for (s, shard_cp) in checkpoint.shards.iter().enumerate() {
+            // A fresh stream sits at (counter 0, cursor 16); every draw
+            // leaves cursor in 1..=16 with counter >= 1.  `from_state` would
+            // silently clamp or wrap anything else into a different stream.
+            if shard_cp.rng_cursor > 16 || (shard_cp.rng_cursor < 16 && shard_cp.rng_counter == 0) {
+                return Err(GraphError::InvalidParameters(format!(
+                    "shard {s} checkpoint RNG clock (counter {}, cursor {}) is unreachable",
+                    shard_cp.rng_counter, shard_cp.rng_cursor
+                )));
+            }
             let local_n = partition.shard(s).len();
             if shard_cp.bucket_starts.len() != local_n + 1
                 || shard_cp.bucket_starts[0] != 0
@@ -562,40 +578,20 @@ impl<'g> ShardedMixingEngine<'g> {
     }
 
     /// Swaps in a new topology for subsequent rounds — the churn runtime's
-    /// `retarget`/delta-apply hook, mirroring
-    /// [`crate::mixing_engine::MixingEngine::retarget`].  Walker positions,
-    /// per-shard buckets, RNG streams and the round counter carry over
-    /// unchanged; only where walkers can move *next* changes.  The node
-    /// count must match (the partition's shard assignment stays valid:
-    /// users are stable, churn rewires edges and availability, not
+    /// retarget/delta-apply hook.  The engine takes ownership, so each
+    /// round's [`crate::dynamic::DynamicGraph::snapshot`] clone can be
+    /// handed straight over with no stable home to borrow from.  Walker
+    /// positions, per-shard buckets, RNG streams and the round counter
+    /// carry over unchanged; only where walkers can move *next* changes.
+    /// The node count must match (the partition's shard assignment stays
+    /// valid: users are stable, churn rewires edges and availability, not
     /// identity) and the new topology must have no isolated nodes.
     ///
     /// # Errors
     ///
     /// [`GraphError::InvalidParameters`] on a node-count mismatch,
     /// [`GraphError::IsolatedNode`] if the new topology has one.
-    pub fn retarget(&mut self, graph: &'g Graph) -> Result<()> {
-        self.validate_retarget(graph)?;
-        self.graph = GraphRef::Borrowed(graph);
-        Ok(())
-    }
-
-    /// [`ShardedMixingEngine::retarget`] taking ownership of the new
-    /// topology — the hook for per-round churn snapshots that have no
-    /// stable home to borrow from (each round's
-    /// [`crate::dynamic::DynamicGraph::snapshot`] clone can be handed
-    /// straight to the engine).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedMixingEngine::retarget`].
     pub fn retarget_owned(&mut self, graph: Graph) -> Result<()> {
-        self.validate_retarget(&graph)?;
-        self.graph = GraphRef::Owned(Box::new(graph));
-        Ok(())
-    }
-
-    fn validate_retarget(&self, graph: &Graph) -> Result<()> {
         if graph.node_count() != self.graph.get().node_count() {
             return Err(GraphError::InvalidParameters(format!(
                 "cannot retarget an engine on {} nodes to a graph with {}",
@@ -606,13 +602,18 @@ impl<'g> ShardedMixingEngine<'g> {
         if let Some(u) = graph.find_isolated_node() {
             return Err(GraphError::IsolatedNode(u));
         }
+        self.graph = GraphRef::Owned(Box::new(graph));
         Ok(())
     }
 
     /// Migrates the engine to a new shard assignment mid-run — the online
-    /// repartitioning exchange.  Walker positions, per-shard RNG streams,
-    /// the draw mode and the round counter carry over unchanged; every
-    /// shard's buckets are rebuilt deterministically under the new
+    /// repartitioning exchange, taking ownership of the new partition (the
+    /// hook for partitions refined online from a live
+    /// [`crate::dynamic::DynamicGraph`] via
+    /// [`crate::partition::Partition::refined_assignment`], which have no
+    /// stable home to borrow from).  Walker positions, per-shard RNG
+    /// streams, the draw mode and the round counter carry over unchanged;
+    /// every shard's buckets are rebuilt deterministically under the new
     /// partition by one counting-sort pass fed with the shard's walkers in
     /// walker-id order (the [`ShardedMixingEngine::with_starts`]
     /// initial-bucket rule), so the result is a fixed function of
@@ -632,40 +633,14 @@ impl<'g> ShardedMixingEngine<'g> {
     /// or shard count differs from the engine's (shard RNG streams are
     /// per-shard state; changing the shard count mid-run would forfeit
     /// seed-only determinism).
-    pub fn migrate(&mut self, partition: &'g Partition) -> Result<Vec<NodeId>> {
-        let mut movers = Vec::new();
-        self.migrate_ref(PartitionRef::Borrowed(partition), &mut movers)?;
-        Ok(movers)
-    }
-
-    /// [`ShardedMixingEngine::migrate`] taking ownership of the new
-    /// partition — the hook for partitions refined online from a live
-    /// [`crate::dynamic::DynamicGraph`]
-    /// ([`crate::partition::Partition::refined_assignment`]), which have no
-    /// stable home to borrow from.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedMixingEngine::migrate`].
     pub fn migrate_owned(&mut self, partition: Partition) -> Result<Vec<NodeId>> {
         let mut movers = Vec::new();
         self.migrate_ref(PartitionRef::Owned(Box::new(partition)), &mut movers)?;
         Ok(movers)
     }
 
-    /// Buffer-reusing [`ShardedMixingEngine::migrate_owned`]: `movers` is
-    /// cleared and refilled, so a steady-state migration loop alternating
-    /// between warmed shapes performs no heap allocation.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedMixingEngine::migrate`].
-    pub fn migrate_into(&mut self, partition: Partition, movers: &mut Vec<NodeId>) -> Result<()> {
-        self.migrate_ref(PartitionRef::Owned(Box::new(partition)), movers)
-    }
-
-    /// Buffer-reusing [`ShardedMixingEngine::migrate`] borrowing the new
-    /// partition: no box for the partition, `movers` cleared and refilled.
+    /// [`ShardedMixingEngine::migrate_owned`] borrowing the new partition
+    /// and reusing the caller's `movers` buffer (cleared and refilled).
     /// Once the per-shard buffers have reached their high-water marks for
     /// every partition shape in rotation, a migration through this entry
     /// point performs **zero** heap allocations — the property the
@@ -673,7 +648,7 @@ impl<'g> ShardedMixingEngine<'g> {
     ///
     /// # Errors
     ///
-    /// Same as [`ShardedMixingEngine::migrate`].
+    /// Same as [`ShardedMixingEngine::migrate_owned`].
     pub fn migrate_borrowed_into(
         &mut self,
         partition: &'g Partition,
@@ -747,12 +722,17 @@ impl<'g> ShardedMixingEngine<'g> {
         Ok(())
     }
 
-    /// Executes one holder-order round across all shards (shard sampling in
-    /// ascending shard order, which — by the determinism contract — yields
-    /// the same result as any other order), streaming whole-population
-    /// statistics to `observer` (pass `&mut ()` to skip).
+    /// Executes one holder-order round across all shards, streaming
+    /// whole-population statistics to `observer` (pass `&mut ()` to skip).
+    ///
+    /// Without the `parallel` feature the shards sample in ascending shard
+    /// order; with it, a multi-shard engine samples its shards on scoped
+    /// threads.  By the determinism contract both schedules — and any other
+    /// ([`ShardedMixingEngine::step_in_order`]) — yield bitwise the same
+    /// round.
     pub fn step<O: RoundObserver>(&mut self, laziness: f64, observer: &mut O) {
-        self.step_masked_opt(laziness, None, observer);
+        self.sample_all(laziness, None);
+        self.merge_round(observer);
     }
 
     /// [`ShardedMixingEngine::step`] under an availability mask (global
@@ -762,10 +742,8 @@ impl<'g> ShardedMixingEngine<'g> {
     /// return leg of the exchange and rejoins the holder's bucket as a
     /// survivor, which is exactly how the kernel accounts it (not sent, not
     /// an arrival).  With an all-available mask the round is bit-for-bit
-    /// [`ShardedMixingEngine::step`], and under a 1-shard partition it is
-    /// bit-for-bit
-    /// [`crate::mixing_engine::MixingEngine::step_holder_masked`] — RNG
-    /// stream, bucket orders and statistics included.
+    /// [`ShardedMixingEngine::step`], RNG streams, bucket orders and
+    /// statistics included.
     ///
     /// # Panics
     ///
@@ -776,96 +754,25 @@ impl<'g> ShardedMixingEngine<'g> {
         available: &[bool],
         observer: &mut O,
     ) {
-        assert_eq!(
-            available.len(),
-            self.graph.get().node_count(),
-            "availability mask has the wrong length"
-        );
-        self.step_masked_opt(laziness, Some(available), observer);
-    }
-
-    fn step_masked_opt<O: RoundObserver>(
-        &mut self,
-        laziness: f64,
-        available: Option<&[bool]>,
-        observer: &mut O,
-    ) {
-        let graph = self.graph.get();
-        let partition = self.partition.get();
-        let mode = self.draw_mode;
-        let telemetry = self.telemetry.as_ref();
-        for (s, (state, outbox)) in self
-            .shards
-            .iter_mut()
-            .zip(self.outboxes.iter_mut())
-            .enumerate()
-        {
-            let _span = telemetry.map(|t| t.decide_ns.span(&t.clock));
-            sample_shard_round(
-                graph, partition, s, state, outbox, laziness, available, mode,
-            );
-        }
-        self.record_sampling_telemetry();
+        self.check_mask(Some(available));
+        self.sample_all(laziness, Some(available));
         self.merge_round(observer);
     }
 
-    /// Folds the finished sampling phase's per-shard accounting — mask
-    /// bounces and outbox row depths — into the attached telemetry.
-    /// Reads only; called once per round between sampling and merge.
-    fn record_sampling_telemetry(&self) {
-        if let Some(t) = &self.telemetry {
-            for state in &self.shards {
-                t.mask_bounces.add(state.arena.bounced());
-            }
-            for source in &self.outboxes {
-                for row in source {
-                    t.outbox_depth.record(row.len() as u64);
-                }
-            }
-        }
-    }
-
-    /// [`ShardedMixingEngine::step`] with the per-shard sampling phase run
-    /// in an explicit shard order — the determinism audit hook: any
-    /// permutation of `0..shard_count` must produce bitwise identical
-    /// results, because shards only touch their own stream and outboxes and
-    /// the merge order is canonical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is not a permutation of `0..shard_count`.
-    pub fn step_in_order<O: RoundObserver>(
-        &mut self,
-        laziness: f64,
-        order: &[usize],
-        observer: &mut O,
-    ) {
-        self.step_in_order_masked_opt(laziness, None, order, observer);
-    }
-
-    /// [`ShardedMixingEngine::step_masked`] with an explicit shard order —
-    /// the audit hook extended to masked rounds.
+    /// One round (masked when `available` is `Some`) with the per-shard
+    /// sampling phase run sequentially in an explicit shard order — the
+    /// determinism audit hook: any permutation of `0..shard_count` must
+    /// produce bitwise the [`ShardedMixingEngine::step`] /
+    /// [`ShardedMixingEngine::step_masked`] round, because shards only touch
+    /// their own stream and outboxes and the merge order is canonical.  It
+    /// never spawns threads, so it is also the sequential schedule under
+    /// the `parallel` feature.
     ///
     /// # Panics
     ///
     /// Panics if `order` is not a permutation of `0..shard_count` or the
     /// mask length differs from the node count.
-    pub fn step_masked_in_order<O: RoundObserver>(
-        &mut self,
-        laziness: f64,
-        available: &[bool],
-        order: &[usize],
-        observer: &mut O,
-    ) {
-        assert_eq!(
-            available.len(),
-            self.graph.get().node_count(),
-            "availability mask has the wrong length"
-        );
-        self.step_in_order_masked_opt(laziness, Some(available), order, observer);
-    }
-
-    fn step_in_order_masked_opt<O: RoundObserver>(
+    pub fn step_in_order<O: RoundObserver>(
         &mut self,
         laziness: f64,
         available: Option<&[bool]>,
@@ -873,18 +780,54 @@ impl<'g> ShardedMixingEngine<'g> {
         observer: &mut O,
     ) {
         let k = self.shards.len();
-        let mut seen = vec![false; k];
         assert_eq!(order.len(), k, "order must cover every shard exactly once");
-        for &s in order {
-            assert!(s < k && !seen[s], "order must be a permutation of 0..{k}");
-            seen[s] = true;
+        for (i, &s) in order.iter().enumerate() {
+            assert!(
+                s < k && !order[..i].contains(&s),
+                "order must be a permutation of 0..{k}"
+            );
         }
+        self.check_mask(available);
+        self.sample_in_order(laziness, available, order.iter().copied());
+        self.merge_round(observer);
+    }
+
+    fn check_mask(&self, available: Option<&[bool]>) {
+        if let Some(mask) = available {
+            assert_eq!(
+                mask.len(),
+                self.graph.get().node_count(),
+                "availability mask has the wrong length"
+            );
+        }
+    }
+
+    /// The sampling phase of a [`ShardedMixingEngine::step`] round: every
+    /// shard in ascending order, or — under the `parallel` feature, with
+    /// more than one shard — on scoped threads.
+    fn sample_all(&mut self, laziness: f64, available: Option<&[bool]>) {
+        #[cfg(feature = "parallel")]
+        if self.shards.len() > 1 {
+            self.sample_threaded(laziness, available);
+            return;
+        }
+        self.sample_in_order(laziness, available, 0..self.shards.len());
+    }
+
+    /// The sequential sampling phase: each shard of `order` runs the
+    /// kernel's decide sweep into its own outbox row.
+    fn sample_in_order(
+        &mut self,
+        laziness: f64,
+        available: Option<&[bool]>,
+        order: impl Iterator<Item = usize>,
+    ) {
         let graph = self.graph.get();
         let partition = self.partition.get();
         let mode = self.draw_mode;
-        let telemetry = self.telemetry.clone();
-        for &s in order {
-            let _span = telemetry.as_ref().map(|t| t.decide_ns.span(&t.clock));
+        let telemetry = self.telemetry.as_ref();
+        for s in order {
+            let _span = telemetry.map(|t| t.decide_ns.span(&t.clock));
             sample_shard_round(
                 graph,
                 partition,
@@ -896,62 +839,29 @@ impl<'g> ShardedMixingEngine<'g> {
                 mode,
             );
         }
-        self.record_sampling_telemetry();
-        self.merge_round(observer);
     }
 
-    /// Runs a full walk of holder-order rounds, streaming statistics to
-    /// `observer`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`WalkConfig::validate`] errors.
-    pub fn run<O: RoundObserver>(&mut self, config: WalkConfig, observer: &mut O) -> Result<()> {
-        config.validate()?;
-        for _ in 0..config.rounds {
-            self.step(config.laziness, observer);
-        }
-        Ok(())
-    }
-
-    /// [`ShardedMixingEngine::step`] with the sampling phase on scoped
-    /// threads when the `parallel` feature is enabled, the plain sequential
-    /// step otherwise — bitwise identical either way.
-    pub fn step_auto<O: RoundObserver>(&mut self, laziness: f64, observer: &mut O) {
-        #[cfg(feature = "parallel")]
-        self.step_threaded(laziness, observer);
-        #[cfg(not(feature = "parallel"))]
-        self.step(laziness, observer);
-    }
-
-    /// [`ShardedMixingEngine::step_masked`] with the sampling phase on
-    /// scoped threads when the `parallel` feature is enabled, the plain
-    /// sequential masked step otherwise — bitwise identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `available.len()` differs from the node count.
-    pub fn step_masked_auto<O: RoundObserver>(
-        &mut self,
-        laziness: f64,
-        available: &[bool],
-        observer: &mut O,
-    ) {
-        #[cfg(feature = "parallel")]
-        self.step_masked_threaded(laziness, available, observer);
-        #[cfg(not(feature = "parallel"))]
-        self.step_masked(laziness, available, observer);
-    }
-
-    /// The canonical exchange phase: merges survivors and (per source
-    /// shard, in ascending shard order) deliveries into each shard's
-    /// next-round buckets via one counting sort per shard, updates walker
-    /// positions, folds the per-shard statistics into the global vectors
-    /// and reports the round.
+    /// The canonical exchange phase: folds the finished sampling phase's
+    /// per-shard accounting (mask bounces, outbox row depths) into the
+    /// attached telemetry, merges survivors and (per source shard, in
+    /// ascending shard order) deliveries into each shard's next-round
+    /// buckets via one counting sort per shard, updates walker positions,
+    /// folds the per-shard statistics into the global vectors and reports
+    /// the round.
     fn merge_round<O: RoundObserver>(&mut self, observer: &mut O) {
         let partition = self.partition.get();
         let k = self.shards.len();
-        let telemetry = self.telemetry.clone();
+        let telemetry = self.telemetry.as_ref();
+        if let Some(t) = telemetry {
+            for state in &self.shards {
+                t.mask_bounces.add(state.arena.bounced());
+            }
+            for source in &self.outboxes {
+                for row in source {
+                    t.outbox_depth.record(row.len() as u64);
+                }
+            }
+        }
         for d in 0..k {
             let nodes = partition.shard(d).nodes();
             let local_n = nodes.len();
@@ -961,7 +871,7 @@ impl<'g> ShardedMixingEngine<'g> {
             // the position array essentially at random, so prefetch a few
             // entries ahead.
             {
-                let _span = telemetry.as_ref().map(|t| t.exchange_ns.span(&t.clock));
+                let _span = telemetry.map(|t| t.exchange_ns.span(&t.clock));
                 for source in self.outboxes.iter() {
                     let row = &source[d];
                     for (i, &(dest, w)) in row.iter().enumerate() {
@@ -979,21 +889,40 @@ impl<'g> ShardedMixingEngine<'g> {
             let state = &mut self.shards[d];
             let outboxes = &self.outboxes;
             {
-                let _span = telemetry.as_ref().map(|t| t.merge_ns.span(&t.clock));
-                round::merge_round_buckets(
-                    local_n,
-                    &mut state.arena,
-                    &mut state.load_local,
-                    &mut state.bucket_starts,
-                    &mut state.bucket_walkers,
-                    |sink| {
-                        for source in outboxes.iter() {
-                            for &(dest, w) in &source[d] {
-                                sink(partition.local_of(dest as usize), w);
+                let _span = telemetry.map(|t| t.merge_ns.span(&t.clock));
+                if k == 1 {
+                    // One shard's local ids are the global ids (`Partition`
+                    // numbers locals in global order), so its single row
+                    // replays without a lookup per arrival.
+                    let row = &outboxes[0][0];
+                    round::merge_round_buckets(
+                        local_n,
+                        &mut state.arena,
+                        &mut state.load_local,
+                        &mut state.bucket_starts,
+                        &mut state.bucket_walkers,
+                        |sink| {
+                            for &(dest, w) in row {
+                                sink(dest as usize, w);
                             }
-                        }
-                    },
-                );
+                        },
+                    );
+                } else {
+                    round::merge_round_buckets(
+                        local_n,
+                        &mut state.arena,
+                        &mut state.load_local,
+                        &mut state.bucket_starts,
+                        &mut state.bucket_walkers,
+                        |sink| {
+                            for source in outboxes.iter() {
+                                for &(dest, w) in &source[d] {
+                                    sink(partition.local_of(dest as usize), w);
+                                }
+                            }
+                        },
+                    );
+                }
             }
             // Fold this shard's statistics into the global vectors.
             for (lu, &u) in nodes.iter().enumerate() {
@@ -1007,7 +936,7 @@ impl<'g> ShardedMixingEngine<'g> {
             "round conservation violated: survivors + arrivals + bounces must equal the walkers"
         );
         self.round += 1;
-        if let Some(t) = &self.telemetry {
+        if let Some(t) = telemetry {
             t.rounds.inc();
         }
         observer.on_round(&RoundStats {
@@ -1067,8 +996,13 @@ fn sample_shard_round(
         }
     }
     let (dests, walkers) = arena.deliveries();
-    for (&dest, &w) in dests.iter().zip(walkers) {
-        outbox[partition.shard_of(dest as usize)].push((dest, w));
+    if let [row] = outbox {
+        // One shard: every delivery lands in the one row, no lookup needed.
+        row.extend(dests.iter().copied().zip(walkers.iter().copied()));
+    } else {
+        for (&dest, &w) in dests.iter().zip(walkers) {
+            outbox[partition.shard_of(dest as usize)].push((dest, w));
+        }
     }
 }
 
@@ -1082,76 +1016,14 @@ fn sample_shard_round(
 #[cfg(feature = "parallel")]
 mod parallel {
     use super::{sample_shard_round, ShardState, ShardedMixingEngine};
-    use crate::mixing_engine::RoundObserver;
-    use crate::round;
 
     /// One shard's sampling-phase work item: shard id, state and outbox row.
     type ShardWork<'a> = (usize, (&'a mut ShardState, &'a mut Vec<Vec<(u32, u32)>>));
 
-    /// A raw pointer that may cross thread boundaries.  Every use in the
-    /// pipelined round loop touches a provably disjoint region per worker
-    /// (own shard state, own outbox source row, walkers delivered to the
-    /// own shard, the own shard's slice of the global statistics), with a
-    /// barrier per round ordering the cross-worker hand-offs.
-    struct SendPtr<T>(*mut T);
-
-    impl<T> SendPtr<T> {
-        /// The wrapped pointer.  Going through a method (rather than field
-        /// access) makes closures capture the whole `SendPtr` — and with it
-        /// the `Send`/`Sync` impls — instead of the bare `*mut T` field
-        /// under edition-2021 precise capture.
-        fn get(self) -> *mut T {
-            self.0
-        }
-    }
-
-    impl<T> Clone for SendPtr<T> {
-        fn clone(&self) -> Self {
-            *self
-        }
-    }
-    impl<T> Copy for SendPtr<T> {}
-
-    #[allow(unsafe_code)]
-    // Safety: see the struct docs — all dereferences are disjoint by
-    // construction and ordered by the per-round barrier.
-    unsafe impl<T> Send for SendPtr<T> {}
-    #[allow(unsafe_code)]
-    unsafe impl<T> Sync for SendPtr<T> {}
-
     impl ShardedMixingEngine<'_> {
-        /// Multi-threaded [`ShardedMixingEngine::step`]; bitwise identical
-        /// results.
-        pub fn step_threaded<O: RoundObserver>(&mut self, laziness: f64, observer: &mut O) {
-            self.step_threaded_masked_opt(laziness, None, observer);
-        }
-
-        /// Multi-threaded [`ShardedMixingEngine::step_masked`]; bitwise
-        /// identical results.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `available.len()` differs from the node count.
-        pub fn step_masked_threaded<O: RoundObserver>(
-            &mut self,
-            laziness: f64,
-            available: &[bool],
-            observer: &mut O,
-        ) {
-            assert_eq!(
-                available.len(),
-                self.graph().node_count(),
-                "availability mask has the wrong length"
-            );
-            self.step_threaded_masked_opt(laziness, Some(available), observer);
-        }
-
-        fn step_threaded_masked_opt<O: RoundObserver>(
-            &mut self,
-            laziness: f64,
-            available: Option<&[bool]>,
-            observer: &mut O,
-        ) {
+        /// The threaded sampling phase behind [`ShardedMixingEngine::step`]
+        /// and [`ShardedMixingEngine::step_masked`].
+        pub(super) fn sample_threaded(&mut self, laziness: f64, available: Option<&[bool]>) {
             let graph = self.graph.get();
             let partition = self.partition.get();
             let mode = self.draw_mode;
@@ -1170,13 +1042,12 @@ mod parallel {
             for (index, item) in work.into_iter().enumerate() {
                 per_thread[index % threads].push(item);
             }
-            let telemetry = self.telemetry.clone();
+            let telemetry = self.telemetry.as_ref();
             std::thread::scope(|scope| {
                 for assignment in per_thread {
-                    let telemetry = telemetry.clone();
                     scope.spawn(move || {
                         for (s, (state, outbox)) in assignment {
-                            let _span = telemetry.as_ref().map(|t| t.decide_ns.span(&t.clock));
+                            let _span = telemetry.map(|t| t.decide_ns.span(&t.clock));
                             sample_shard_round(
                                 graph, partition, s, state, outbox, laziness, available, mode,
                             );
@@ -1184,168 +1055,6 @@ mod parallel {
                     });
                 }
             });
-            self.record_sampling_telemetry();
-            self.merge_round(observer);
-        }
-
-        /// Runs `rounds` holder-order rounds with the cross-shard exchange
-        /// pipelined against the next round's compute: one worker per
-        /// shard, double-buffered outboxes and exactly one barrier per
-        /// round.  Worker `s` samples round `r` into buffer `r % 2`, waits
-        /// at the barrier (all outboxes of round `r` complete), merges its
-        /// *own* shard's arrivals — and immediately samples round `r + 1`
-        /// into the other buffer while slower workers are still merging
-        /// round `r`.  Double buffering is what makes that overlap safe:
-        /// round `r + 1` sampling writes never touch the buffer round `r`
-        /// merges read.
-        ///
-        /// Bitwise identical to `rounds` sequential
-        /// [`ShardedMixingEngine::step`] calls: the per-shard streams,
-        /// sweep orders and canonical merge order are unchanged — only the
-        /// schedule differs.  Per-round statistics are not observable
-        /// mid-run (merges of different rounds overlap); the engine's
-        /// sent/load vectors hold the final round's values afterwards.
-        pub fn run_pipelined(&mut self, laziness: f64, rounds: usize) {
-            self.run_pipelined_masked_opt(laziness, None, rounds);
-        }
-
-        /// [`ShardedMixingEngine::run_pipelined`] under a fixed
-        /// availability mask.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `available.len()` differs from the node count.
-        pub fn run_pipelined_masked(&mut self, laziness: f64, available: &[bool], rounds: usize) {
-            assert_eq!(
-                available.len(),
-                self.graph().node_count(),
-                "availability mask has the wrong length"
-            );
-            self.run_pipelined_masked_opt(laziness, Some(available), rounds);
-        }
-
-        #[allow(unsafe_code)]
-        fn run_pipelined_masked_opt(
-            &mut self,
-            laziness: f64,
-            available: Option<&[bool]>,
-            rounds: usize,
-        ) {
-            if rounds == 0 {
-                return;
-            }
-            let k = self.shards.len();
-            let graph = self.graph.get();
-            let partition = self.partition.get();
-            let mode = self.draw_mode;
-            // Buffer 0 is the engine's resident outboxes, buffer 1 an
-            // identically shaped alternate; both live for the whole run, so
-            // per-call allocation is independent of the round count.
-            let mut alt: Vec<Vec<Vec<(u32, u32)>>> = vec![vec![Vec::new(); k]; k];
-            let barrier = std::sync::Barrier::new(k);
-            let shards_ptr = SendPtr(self.shards.as_mut_ptr());
-            let bufs = [
-                SendPtr(self.outboxes.as_mut_ptr()),
-                SendPtr(alt.as_mut_ptr()),
-            ];
-            let positions_ptr = SendPtr(self.positions.as_mut_ptr());
-            let sent_ptr = SendPtr(self.sent.as_mut_ptr());
-            let load_ptr = SendPtr(self.load.as_mut_ptr());
-            let telemetry = self.telemetry.clone();
-            std::thread::scope(|scope| {
-                for s in 0..k {
-                    let barrier = &barrier;
-                    let telemetry = telemetry.clone();
-                    scope.spawn(move || {
-                        for r in 0..rounds {
-                            let cur = bufs[r % 2];
-                            // Safety: worker `s` is the only one touching
-                            // `shards[s]` and outbox source row `cur[s]`;
-                            // the previous reads of this buffer (round
-                            // `r - 2`'s merges) finished before the last
-                            // barrier.
-                            let state = unsafe { &mut *shards_ptr.get().add(s) };
-                            let outbox = unsafe { &mut *cur.get().add(s) };
-                            {
-                                let _span = telemetry.as_ref().map(|t| t.decide_ns.span(&t.clock));
-                                sample_shard_round(
-                                    graph, partition, s, state, outbox, laziness, available, mode,
-                                );
-                            }
-                            if let Some(t) = &telemetry {
-                                t.mask_bounces.add(state.arena.bounced());
-                                for row in outbox.iter() {
-                                    t.outbox_depth.record(row.len() as u64);
-                                }
-                            }
-                            {
-                                let _span =
-                                    telemetry.as_ref().map(|t| t.barrier_wait_ns.span(&t.clock));
-                                barrier.wait();
-                            }
-                            // Merge destination shard `s`: every source
-                            // row `cur[src][s]` is complete (barrier) and
-                            // read-only from here on; walkers arriving at
-                            // shard `s` and shard `s`'s statistics slots
-                            // are written by this worker alone.
-                            let nodes = partition.shard(s).nodes();
-                            let local_n = nodes.len();
-                            {
-                                let _span =
-                                    telemetry.as_ref().map(|t| t.exchange_ns.span(&t.clock));
-                                for src in 0..k {
-                                    let source = unsafe { &*cur.get().add(src).cast_const() };
-                                    for &(dest, w) in &source[s] {
-                                        unsafe {
-                                            *positions_ptr.get().add(w as usize) = dest;
-                                        }
-                                    }
-                                }
-                            }
-                            let state = unsafe { &mut *shards_ptr.get().add(s) };
-                            let ShardState {
-                                bucket_starts,
-                                bucket_walkers,
-                                arena,
-                                load_local,
-                                ..
-                            } = state;
-                            let _span = telemetry.as_ref().map(|t| t.merge_ns.span(&t.clock));
-                            round::merge_round_buckets(
-                                local_n,
-                                arena,
-                                load_local,
-                                bucket_starts,
-                                bucket_walkers,
-                                |sink| {
-                                    for src in 0..k {
-                                        let source = unsafe { &*cur.get().add(src).cast_const() };
-                                        for &(dest, w) in &source[s] {
-                                            sink(partition.local_of(dest as usize), w);
-                                        }
-                                    }
-                                },
-                            );
-                            for (lu, &u) in nodes.iter().enumerate() {
-                                unsafe {
-                                    *sent_ptr.get().add(u) = state.sent_local[lu];
-                                    *load_ptr.get().add(u) = state.load_local[lu];
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-            drop(alt);
-            self.round += rounds;
-            if let Some(t) = &self.telemetry {
-                t.rounds.add(rounds as u64);
-            }
-            debug_assert_eq!(
-                self.load.iter().map(|&l| l as usize).sum::<usize>(),
-                self.positions.len(),
-                "round conservation violated: survivors + arrivals + bounces must equal the walkers"
-            );
         }
     }
 }
@@ -1354,11 +1063,19 @@ mod parallel {
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::mixing_engine::MixingEngine;
     use crate::rng::seeded_rng;
+    use rand::Rng;
 
     fn graph(n: usize, k: usize, seed: u64) -> Graph {
         generators::random_regular(n, k, &mut seeded_rng(seed)).unwrap()
+    }
+
+    fn partition(g: &Graph, k: usize) -> Partition {
+        if k == 1 {
+            Partition::single_shard(g).unwrap()
+        } else {
+            Partition::new(g, k).unwrap()
+        }
     }
 
     #[test]
@@ -1376,64 +1093,107 @@ mod tests {
         assert!(ShardedMixingEngine::one_walker_per_node(&isolated, &pi, 7).is_err());
     }
 
+    /// `step` / `step_masked` (threaded under the `parallel` feature) land
+    /// bitwise where the sequential `step_in_order(0..k)` schedule lands —
+    /// positions, bucket orders, statistics and every shard's stream — in
+    /// both draw modes, masked and unmasked.
     #[test]
-    fn one_shard_is_bitwise_the_single_engine() {
+    fn step_is_bitwise_the_sequential_in_order_schedule() {
         let g = graph(160, 6, 3);
-        let p = Partition::single_shard(&g).unwrap();
-        for laziness in [0.0, 0.3] {
-            let mut sharded = ShardedMixingEngine::one_walker_per_node(&g, &p, 99).unwrap();
-            let mut single = MixingEngine::one_walker_per_node(&g).unwrap();
-            let mut rng = shard_stream(99, 0);
-            for _ in 0..20 {
-                sharded.step(laziness, &mut ());
-                single.step_holder(laziness, &mut rng, &mut ());
+        let mask: Vec<bool> = (0..160).map(|u| u % 4 != 0).collect();
+        for k in [2usize, 5] {
+            let p = partition(&g, k);
+            let order: Vec<usize> = (0..k).collect();
+            for mode in [DrawMode::Compat, DrawMode::Fast] {
+                for masked in [false, true] {
+                    let available = masked.then_some(mask.as_slice());
+                    let mut stepped = ShardedMixingEngine::one_walker_per_node(&g, &p, 99).unwrap();
+                    let mut ordered = ShardedMixingEngine::one_walker_per_node(&g, &p, 99).unwrap();
+                    stepped.set_draw_mode(mode);
+                    ordered.set_draw_mode(mode);
+                    for _ in 0..12 {
+                        match available {
+                            Some(m) => stepped.step_masked(0.3, m, &mut ()),
+                            None => stepped.step(0.3, &mut ()),
+                        }
+                        ordered.step_in_order(0.3, available, &order, &mut ());
+                        assert_eq!(stepped.sent_counts(), ordered.sent_counts());
+                    }
+                    assert_eq!(stepped.positions(), ordered.positions());
+                    assert_eq!(stepped.walkers_by_holder(), ordered.walkers_by_holder());
+                    for s in 0..k {
+                        let a: u64 = stepped.shard_rng_mut(s).gen();
+                        let b: u64 = ordered.shard_rng_mut(s).gen();
+                        assert_eq!(a, b, "k={k} {mode:?} masked={masked}: shard {s} diverged");
+                    }
+                }
             }
-            assert_eq!(sharded.positions(), single.positions());
-            assert_eq!(sharded.walkers_by_holder(), single.walkers_by_holder());
-            // The engine consumed exactly the same stream: the next draws
-            // coincide.
-            use rand::Rng;
-            let a: u64 = sharded.shard_rng_mut(0).gen();
-            let b: u64 = rng.gen();
-            assert_eq!(a, b);
         }
     }
 
     #[test]
     fn walkers_are_conserved_and_buckets_track_positions() {
         let g = graph(120, 4, 4);
-        let p = Partition::new(&g, 3).unwrap();
-        let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &p, 5).unwrap();
-        for _ in 0..25 {
-            engine.step(0.2, &mut ());
-        }
-        assert_eq!(engine.round(), 25);
-        let load = engine.load_vector();
-        assert_eq!(load.iter().sum::<usize>(), 120);
-        for u in g.nodes() {
-            assert_eq!(engine.held_by(u).len(), load[u]);
-            for &w in engine.held_by(u) {
-                assert_eq!(engine.position(w as usize), u);
+        let mask: Vec<bool> = (0..120).map(|u| u % 5 != 0).collect();
+        for k in [1usize, 3] {
+            let p = partition(&g, k);
+            for mode in [DrawMode::Compat, DrawMode::Fast] {
+                let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &p, 5).unwrap();
+                engine.set_draw_mode(mode);
+                for round in 0..25 {
+                    if round % 2 == 0 {
+                        engine.step(0.2, &mut ());
+                    } else {
+                        engine.step_masked(0.2, &mask, &mut ());
+                    }
+                }
+                assert_eq!(engine.round(), 25);
+                let load = engine.load_vector();
+                assert_eq!(load.iter().sum::<usize>(), 120);
+                for u in g.nodes() {
+                    assert_eq!(engine.held_by(u).len(), load[u]);
+                    for &w in engine.held_by(u) {
+                        assert_eq!(engine.position(w as usize), u);
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn holder_buckets_keep_survivors_before_arrivals() {
+        // With laziness ~1 nothing moves, so buckets must be stable across
+        // rounds (survivors keep their relative order).
+        let g = generators::complete(10).unwrap();
+        let p = Partition::single_shard(&g).unwrap();
+        let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &p, 3).unwrap();
+        let before = engine.walkers_by_holder();
+        engine.step(0.999_999, &mut ());
+        assert_eq!(engine.walkers_by_holder(), before);
     }
 
     #[test]
     fn shard_sampling_order_does_not_change_the_result() {
         let g = graph(90, 6, 5);
         let p = Partition::new(&g, 4).unwrap();
-        let mut forward = ShardedMixingEngine::one_walker_per_node(&g, &p, 11).unwrap();
-        let mut backward = ShardedMixingEngine::one_walker_per_node(&g, &p, 11).unwrap();
-        let mut rotated = ShardedMixingEngine::one_walker_per_node(&g, &p, 11).unwrap();
-        for _ in 0..15 {
-            forward.step(0.1, &mut ());
-            backward.step_in_order(0.1, &[3, 2, 1, 0], &mut ());
-            rotated.step_in_order(0.1, &[2, 3, 0, 1], &mut ());
+        let mask: Vec<bool> = (0..90).map(|u| u % 5 != 2).collect();
+        for available in [None, Some(mask.as_slice())] {
+            let mut forward = ShardedMixingEngine::one_walker_per_node(&g, &p, 11).unwrap();
+            let mut backward = ShardedMixingEngine::one_walker_per_node(&g, &p, 11).unwrap();
+            let mut rotated = ShardedMixingEngine::one_walker_per_node(&g, &p, 11).unwrap();
+            for _ in 0..15 {
+                match available {
+                    Some(m) => forward.step_masked(0.1, m, &mut ()),
+                    None => forward.step(0.1, &mut ()),
+                }
+                backward.step_in_order(0.1, available, &[3, 2, 1, 0], &mut ());
+                rotated.step_in_order(0.1, available, &[2, 3, 0, 1], &mut ());
+            }
+            assert_eq!(forward.positions(), backward.positions());
+            assert_eq!(forward.positions(), rotated.positions());
+            assert_eq!(forward.walkers_by_holder(), backward.walkers_by_holder());
+            assert_eq!(forward.walkers_by_holder(), rotated.walkers_by_holder());
         }
-        assert_eq!(forward.positions(), backward.positions());
-        assert_eq!(forward.positions(), rotated.positions());
-        assert_eq!(forward.walkers_by_holder(), backward.walkers_by_holder());
-        assert_eq!(forward.walkers_by_holder(), rotated.walkers_by_holder());
     }
 
     #[test]
@@ -1442,7 +1202,16 @@ mod tests {
         let g = graph(30, 4, 6);
         let p = Partition::new(&g, 2).unwrap();
         let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &p, 1).unwrap();
-        engine.step_in_order(0.0, &[0, 0], &mut ());
+        engine.step_in_order(0.0, None, &[0, 0], &mut ());
+    }
+
+    #[test]
+    #[should_panic(expected = "mask has the wrong length")]
+    fn step_in_order_rejects_wrong_mask_length() {
+        let g = graph(30, 4, 6);
+        let p = Partition::new(&g, 2).unwrap();
+        let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &p, 1).unwrap();
+        engine.step_in_order(0.0, Some(&[true; 29]), &[1, 0], &mut ());
     }
 
     #[test]
@@ -1451,7 +1220,9 @@ mod tests {
         let p = Partition::new(&g, 5).unwrap();
         let run = |seed: u64| {
             let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &p, seed).unwrap();
-            engine.run(WalkConfig::lazy(12, 0.15), &mut ()).unwrap();
+            for _ in 0..12 {
+                engine.step(0.15, &mut ());
+            }
             engine.positions().to_vec()
         };
         assert_eq!(run(21), run(21));
@@ -1475,108 +1246,80 @@ mod tests {
             }
         }
         let g = graph(80, 4, 8);
-        let p = Partition::new(&g, 3).unwrap();
-        let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &p, 9).unwrap();
-        let mut checker = Checker {
-            walkers: 80,
-            rounds_seen: 0,
-        };
-        engine.run(WalkConfig::lazy(10, 0.1), &mut checker).unwrap();
-        assert_eq!(checker.rounds_seen, 10);
-    }
-
-    #[test]
-    fn one_shard_masked_is_bitwise_the_single_engine_masked_path() {
-        let g = graph(140, 6, 10);
-        let p = Partition::single_shard(&g).unwrap();
-        let mask: Vec<bool> = (0..140).map(|u| u % 4 != 0).collect();
-        for laziness in [0.0, 0.3] {
-            let mut sharded = ShardedMixingEngine::one_walker_per_node(&g, &p, 55).unwrap();
-            let mut single = MixingEngine::one_walker_per_node(&g).unwrap();
-            let mut rng = shard_stream(55, 0);
-            for _ in 0..18 {
-                sharded.step_masked(laziness, &mask, &mut ());
-                single.step_holder_masked(laziness, &mask, &mut rng, &mut ());
+        for k in [1usize, 3] {
+            let p = partition(&g, k);
+            let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &p, 9).unwrap();
+            let mut checker = Checker {
+                walkers: 80,
+                rounds_seen: 0,
+            };
+            for _ in 0..10 {
+                engine.step(0.1, &mut checker);
             }
-            assert_eq!(sharded.positions(), single.positions());
-            assert_eq!(sharded.walkers_by_holder(), single.walkers_by_holder());
-            use rand::Rng;
-            let a: u64 = sharded.shard_rng_mut(0).gen();
-            let b: u64 = rng.gen();
-            assert_eq!(a, b, "RNG stream diverged under the mask");
+            assert_eq!(checker.rounds_seen, 10);
         }
     }
 
     #[test]
     fn all_available_mask_is_bitwise_the_unmasked_sharded_round() {
         let g = graph(120, 4, 11);
-        let p = Partition::new(&g, 4).unwrap();
         let mask = vec![true; 120];
-        let mut masked = ShardedMixingEngine::one_walker_per_node(&g, &p, 77).unwrap();
-        let mut plain = ShardedMixingEngine::one_walker_per_node(&g, &p, 77).unwrap();
-        for _ in 0..15 {
-            masked.step_masked(0.2, &mask, &mut ());
-            plain.step(0.2, &mut ());
+        for k in [1usize, 4] {
+            let p = partition(&g, k);
+            let mut masked = ShardedMixingEngine::one_walker_per_node(&g, &p, 77).unwrap();
+            let mut plain = ShardedMixingEngine::one_walker_per_node(&g, &p, 77).unwrap();
+            for _ in 0..15 {
+                masked.step_masked(0.2, &mask, &mut ());
+                plain.step(0.2, &mut ());
+            }
+            assert_eq!(masked.positions(), plain.positions());
+            assert_eq!(masked.walkers_by_holder(), plain.walkers_by_holder());
+            for s in 0..k {
+                let a: u64 = masked.shard_rng_mut(s).gen();
+                let b: u64 = plain.shard_rng_mut(s).gen();
+                assert_eq!(a, b, "RNG stream diverged under the mask");
+            }
         }
-        assert_eq!(masked.positions(), plain.positions());
-        assert_eq!(masked.walkers_by_holder(), plain.walkers_by_holder());
     }
 
     #[test]
     fn masked_rounds_never_deliver_to_dark_nodes_and_bounces_are_not_sent() {
         let g = graph(100, 4, 12);
-        let p = Partition::new(&g, 3).unwrap();
         let mut mask = vec![true; 100];
         for slot in mask.iter_mut().skip(10) {
             *slot = false;
         }
-        let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &p, 21).unwrap();
-        let before = engine.positions().to_vec();
-        engine.step_masked(0.0, &mask, &mut ());
-        for (walker, (&now, &was)) in engine.positions().iter().zip(&before).enumerate() {
-            assert!(
-                mask[now as usize] || now == was,
-                "walker {walker} was delivered to dark node {now}"
-            );
-        }
-        // The totally-dark network freezes everyone, and no bounced walker
-        // is counted as traffic.
-        let dark = vec![false; 100];
-        let frozen = engine.positions().to_vec();
-        struct NoTraffic;
-        impl RoundObserver for NoTraffic {
-            fn on_round(&mut self, stats: &RoundStats<'_>) {
-                assert_eq!(stats.sent.iter().sum::<u32>(), 0);
+        for k in [1usize, 3] {
+            let p = partition(&g, k);
+            let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &p, 21).unwrap();
+            let before = engine.positions().to_vec();
+            engine.step_masked(0.0, &mask, &mut ());
+            for (walker, (&now, &was)) in engine.positions().iter().zip(&before).enumerate() {
+                assert!(
+                    mask[now as usize] || now == was,
+                    "walker {walker} was delivered to dark node {now}"
+                );
             }
+            // The totally-dark network freezes everyone, and no bounced
+            // walker is counted as traffic.
+            let dark = vec![false; 100];
+            let frozen = engine.positions().to_vec();
+            struct NoTraffic;
+            impl RoundObserver for NoTraffic {
+                fn on_round(&mut self, stats: &RoundStats<'_>) {
+                    assert_eq!(stats.sent.iter().sum::<u32>(), 0);
+                }
+            }
+            engine.step_masked(0.3, &dark, &mut NoTraffic);
+            assert_eq!(engine.positions(), frozen.as_slice());
         }
-        engine.step_masked(0.3, &dark, &mut NoTraffic);
-        assert_eq!(engine.positions(), frozen.as_slice());
-    }
-
-    #[test]
-    fn masked_sampling_order_does_not_change_the_result() {
-        let g = graph(90, 6, 13);
-        let p = Partition::new(&g, 4).unwrap();
-        let mask: Vec<bool> = (0..90).map(|u| u % 5 != 2).collect();
-        let mut forward = ShardedMixingEngine::one_walker_per_node(&g, &p, 31).unwrap();
-        let mut backward = ShardedMixingEngine::one_walker_per_node(&g, &p, 31).unwrap();
-        for _ in 0..12 {
-            forward.step_masked(0.1, &mask, &mut ());
-            backward.step_masked_in_order(0.1, &mask, &[3, 2, 1, 0], &mut ());
-        }
-        assert_eq!(forward.positions(), backward.positions());
-        assert_eq!(forward.walkers_by_holder(), backward.walkers_by_holder());
     }
 
     #[test]
     fn checkpoint_restore_continues_bitwise_in_both_draw_modes() {
         let g = graph(130, 6, 17);
         for k in [1usize, 4] {
-            let p = if k == 1 {
-                Partition::single_shard(&g).unwrap()
-            } else {
-                Partition::new(&g, k).unwrap()
-            };
+            let p = partition(&g, k);
             let mask: Vec<bool> = (0..130).map(|u| u % 7 != 3).collect();
             for mode in [DrawMode::Compat, DrawMode::Fast] {
                 let mut reference = ShardedMixingEngine::one_walker_per_node(&g, &p, 404).unwrap();
@@ -1603,7 +1346,6 @@ mod tests {
                 assert_eq!(reference.walkers_by_holder(), restored.walkers_by_holder());
                 for s in 0..k {
                     assert_eq!(reference.rng_clock(s), restored.rng_clock(s));
-                    use rand::Rng;
                     let a: u64 = reference.shard_rng_mut(s).gen();
                     let b: u64 = restored.shard_rng_mut(s).gen();
                     assert_eq!(a, b, "shard {s} RNG stream diverged after restore");
@@ -1642,6 +1384,20 @@ mod tests {
         let mut bad = cp.clone();
         bad.shards[1].bucket_starts[0] = 1;
         assert!(ShardedMixingEngine::restore_checkpoint(&g, &p, &bad).is_err());
+        // RNG cursor past the 16-word block (would be clamped to 16).
+        let mut bad = cp.clone();
+        bad.shards[2].rng_cursor = 17;
+        assert!(ShardedMixingEngine::restore_checkpoint(&g, &p, &bad).is_err());
+        // Mid-block cursor before any block was generated (would wrap the
+        // counter to u64::MAX).
+        let mut bad = cp.clone();
+        bad.shards[0].rng_counter = 0;
+        bad.shards[0].rng_cursor = 3;
+        assert!(ShardedMixingEngine::restore_checkpoint(&g, &p, &bad).is_err());
+        // A fresh stream's clock (counter 0, cursor 16) is reachable.
+        let fresh = ShardedMixingEngine::one_walker_per_node(&g, &p, 5).unwrap();
+        assert_eq!(fresh.rng_clock(0), (0, 16));
+        assert!(ShardedMixingEngine::restore_checkpoint(&g, &p, &fresh.checkpoint()).is_ok());
         // The untouched checkpoint still restores.
         assert!(ShardedMixingEngine::restore_checkpoint(&g, &p, &cp).is_ok());
     }
@@ -1656,46 +1412,16 @@ mod tests {
         for (walker, &pos) in engine.positions().iter().enumerate() {
             assert!(ring.neighbors(walker).contains(&pos));
         }
-        engine.retarget(&full).unwrap();
+        engine.retarget_owned(full).unwrap();
         assert_eq!(engine.round(), 1);
+        assert_eq!(engine.graph().edge_count(), 24 * 23 / 2);
         engine.step(0.0, &mut ());
         assert_eq!(engine.round(), 2);
         assert!(engine.positions().iter().all(|&pos| pos < 24));
         // Mismatched node counts and isolated nodes are rejected.
         let small = generators::cycle(5).unwrap();
-        assert!(engine.retarget(&small).is_err());
+        assert!(engine.retarget_owned(small).is_err());
         let isolated = Graph::from_edges(24, &[(0, 1)]).unwrap();
-        assert!(engine.retarget(&isolated).is_err());
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn threaded_masked_step_is_bitwise_equal_to_sequential() {
-        let g = graph(300, 8, 14);
-        let p = Partition::new(&g, 5).unwrap();
-        let mask: Vec<bool> = (0..300).map(|u| u % 6 != 0).collect();
-        let mut sequential = ShardedMixingEngine::one_walker_per_node(&g, &p, 61).unwrap();
-        let mut threaded = ShardedMixingEngine::one_walker_per_node(&g, &p, 61).unwrap();
-        for _ in 0..10 {
-            sequential.step_masked(0.2, &mask, &mut ());
-            threaded.step_masked_threaded(0.2, &mask, &mut ());
-        }
-        assert_eq!(sequential.positions(), threaded.positions());
-        assert_eq!(sequential.walkers_by_holder(), threaded.walkers_by_holder());
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn threaded_step_is_bitwise_equal_to_sequential() {
-        let g = graph(400, 8, 9);
-        let p = Partition::new(&g, 6).unwrap();
-        let mut sequential = ShardedMixingEngine::one_walker_per_node(&g, &p, 33).unwrap();
-        let mut threaded = ShardedMixingEngine::one_walker_per_node(&g, &p, 33).unwrap();
-        for _ in 0..12 {
-            sequential.step(0.2, &mut ());
-            threaded.step_threaded(0.2, &mut ());
-        }
-        assert_eq!(sequential.positions(), threaded.positions());
-        assert_eq!(sequential.walkers_by_holder(), threaded.walkers_by_holder());
+        assert!(engine.retarget_owned(isolated).is_err());
     }
 }

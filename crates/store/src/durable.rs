@@ -91,20 +91,58 @@ impl Default for DurableConfig {
 
 impl DurableConfig {
     /// Reads `NS_WAL_GROUP_COMMIT` / `NS_SNAPSHOT_EVERY` from the
-    /// environment, falling back to the defaults for unset or unparsable
-    /// values.  `group_commit` is clamped to at least 1.
-    pub fn from_env() -> Self {
+    /// environment; an unset variable keeps its default.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the variable and its value if a set variable is
+    /// not an unsigned integer, or if `NS_WAL_GROUP_COMMIT` is 0 (a group
+    /// commit must cover at least one round record).
+    pub fn from_env() -> std::result::Result<Self, String> {
+        let var = |name: &str| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        Self::from_vars(
+            var("NS_WAL_GROUP_COMMIT").as_deref(),
+            var("NS_SNAPSHOT_EVERY").as_deref(),
+        )
+    }
+
+    /// [`DurableConfig::from_env`] over the raw variable values.
+    fn from_vars(
+        group_commit: Option<&str>,
+        snapshot_every: Option<&str>,
+    ) -> std::result::Result<Self, String> {
         let defaults = DurableConfig::default();
-        let parse = |key: &str, fallback: usize| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(fallback)
-        };
-        DurableConfig {
-            group_commit: parse("NS_WAL_GROUP_COMMIT", defaults.group_commit).max(1),
-            snapshot_every: parse("NS_SNAPSHOT_EVERY", defaults.snapshot_every),
-        }
+        Ok(DurableConfig {
+            group_commit: parse_knob(
+                "NS_WAL_GROUP_COMMIT",
+                group_commit,
+                defaults.group_commit,
+                1,
+            )?,
+            snapshot_every: parse_knob(
+                "NS_SNAPSHOT_EVERY",
+                snapshot_every,
+                defaults.snapshot_every,
+                0,
+            )?,
+        })
+    }
+}
+
+/// Parses one unsigned `NS_*` knob: unset keeps `default`; anything but an
+/// integer `>= min` is an error naming the variable and its value.
+fn parse_knob(
+    name: &str,
+    raw: Option<&str>,
+    default: usize,
+    min: usize,
+) -> std::result::Result<usize, String> {
+    let Some(raw) = raw else {
+        return Ok(default);
+    };
+    match raw.parse::<usize>() {
+        Ok(value) if value >= min => Ok(value),
+        _ => Err(format!("{name}={raw:?} is not an integer >= {min}")),
     }
 }
 
@@ -984,6 +1022,34 @@ mod tests {
 
     fn payloads(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| vec![i as u8, (i * 7) as u8]).collect()
+    }
+
+    #[test]
+    fn env_knobs_fail_closed() {
+        assert_eq!(
+            DurableConfig::from_vars(None, None),
+            Ok(DurableConfig::default())
+        );
+        assert_eq!(
+            DurableConfig::from_vars(Some("1"), Some("0")),
+            Ok(DurableConfig {
+                group_commit: 1,
+                snapshot_every: 0,
+            })
+        );
+        for (group_commit, snapshot_every, name, value) in [
+            (Some("0"), None, "NS_WAL_GROUP_COMMIT", "\"0\""),
+            (Some("four"), None, "NS_WAL_GROUP_COMMIT", "\"four\""),
+            (Some(""), None, "NS_WAL_GROUP_COMMIT", "\"\""),
+            (None, Some("-1"), "NS_SNAPSHOT_EVERY", "\"-1\""),
+            (None, Some("5 "), "NS_SNAPSHOT_EVERY", "\"5 \""),
+        ] {
+            let err = DurableConfig::from_vars(group_commit, snapshot_every).unwrap_err();
+            assert!(
+                err.contains(name) && err.contains(value),
+                "{err:?} must name {name} and {value}"
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! protocol engine (failed deliveries stay put, are never counted as
 //! traffic) and finishes with live topology churn: edges rewiring under a
 //! `DynamicGraph` whose incrementally-patched CSR snapshots feed one
-//! persistent engine through `MixingEngine::retarget`.
+//! persistent walker-order engine through `MixingEngine::retarget` (the
+//! holder-order engine takes owned snapshots through
+//! `ShardedMixingEngine::retarget_owned`).
 
 use network_shuffle::prelude::*;
 use ns_graph::dynamic::DynamicGraph;

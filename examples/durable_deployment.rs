@@ -45,7 +45,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     let graph = random_regular(n, 6, &mut seeded_rng(seed))?;
     let partition = Partition::new(&graph, 4)?;
     let config = CoordinatorConfig::all(seed, usize::MAX);
-    let durable = DurableConfig::from_env(); // NS_WAL_GROUP_COMMIT / NS_SNAPSHOT_EVERY
+    let durable = DurableConfig::from_env()?; // NS_WAL_GROUP_COMMIT / NS_SNAPSHOT_EVERY
     let params = AccountantParams::new(n, 1.0, 1e-6, 1e-6)?;
     let payloads: Vec<Vec<u8>> = (0..n).map(|i| (i as u32).to_le_bytes().to_vec()).collect();
 

@@ -1,4 +1,4 @@
-//! The batched mixing engine at scale: one million walkers, streaming metrics.
+//! The round kernel at scale: one million walkers, streaming metrics.
 //!
 //! ```text
 //! cargo run --release --example mixing_engine_scale
@@ -11,18 +11,27 @@
 //! ```
 //!
 //! Where the quickstart example runs the full protocol (crypto envelopes,
-//! curator, accountant), this one exercises the shared round-execution core
-//! directly: a million-node regular graph, 30 exchange rounds over flat
-//! struct-of-arrays state, and a custom [`RoundObserver`] that watches the
-//! load distribution converge toward the balls-into-bins limit while the
-//! rounds execute — no post-hoc pass over a million client objects.
+//! curator, accountant), this one drives the engines directly on a
+//! million-node regular graph, 30 exchange rounds over flat struct-of-arrays
+//! state.  The default build runs the protocol's holder-order rounds on the
+//! single-shard `ShardedMixingEngine`, with a custom `RoundObserver` that
+//! watches the load distribution converge toward the balls-into-bins limit
+//! while the rounds execute — no post-hoc pass over a million client
+//! objects.  With `--features parallel` it runs independent walker-order
+//! rounds through `MixingEngine::run_parallel` instead.
 
 use ns_graph::generators::random_regular;
+#[cfg(feature = "parallel")]
 use ns_graph::mixing_engine::MixingEngine;
 #[cfg(not(feature = "parallel"))]
 use ns_graph::mixing_engine::{RoundObserver, RoundStats};
+#[cfg(not(feature = "parallel"))]
+use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
+#[cfg(not(feature = "parallel"))]
+use ns_graph::sharded_engine::ShardedMixingEngine;
+#[cfg(feature = "parallel")]
 use ns_graph::walk::WalkConfig;
 use ns_obs::say;
 use std::time::Instant;
@@ -71,32 +80,36 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
         TOPIC,
         "generating a {n}-node 8-regular communication graph ..."
     );
-    let mut rng = seeded_rng(7);
-    let graph = random_regular(n, 8, &mut rng)?;
-
-    let mut engine = MixingEngine::one_walker_per_node(&graph)?;
-    engine.set_draw_mode(mode);
-    let start = Instant::now();
+    let graph = random_regular(n, 8, &mut seeded_rng(7))?;
 
     #[cfg(feature = "parallel")]
-    {
+    let (load, elapsed) = {
+        let mut engine = MixingEngine::one_walker_per_node(&graph)?;
+        engine.set_draw_mode(mode);
         say!(
             TOPIC,
             "running {rounds} data-parallel walker-order rounds ..."
         );
+        let start = Instant::now();
         engine.run_parallel(WalkConfig::simple(rounds), 42)?;
-    }
+        (engine.load_vector(), start.elapsed())
+    };
     #[cfg(not(feature = "parallel"))]
-    {
+    let (load, elapsed) = {
+        let partition = Partition::single_shard(&graph)?;
+        let mut engine = ShardedMixingEngine::one_walker_per_node(&graph, &partition, 42)?;
+        engine.set_draw_mode(mode);
         say!(
             TOPIC,
             "running {rounds} holder-order rounds with streaming metrics ..."
         );
-        engine.run_holder_observed(WalkConfig::simple(rounds), &mut rng, &mut LoadWatcher)?;
-    }
+        let start = Instant::now();
+        for _ in 0..rounds {
+            engine.step(0.0, &mut LoadWatcher);
+        }
+        (engine.load_vector(), start.elapsed())
+    };
 
-    let elapsed = start.elapsed();
-    let load = engine.load_vector();
     let empty = load.iter().filter(|&&l| l == 0).count();
     say!(
         TOPIC,

@@ -105,7 +105,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
         let mut engine = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed)?;
         let t1 = Instant::now();
         for _ in 0..rounds_per_config {
-            engine.step_auto(0.0, &mut ());
+            engine.step(0.0, &mut ());
         }
         let elapsed = t1.elapsed().as_secs_f64();
         say!(

@@ -306,7 +306,7 @@ pub fn run_child(scenario: &CrashScenario) -> Result<(), String> {
         .map_err(|e| format!("graph: {e}"))?;
     let n = graph.node_count();
     let partition = build_partition(&graph, scenario.shards)?;
-    let durable_config = DurableConfig::from_env();
+    let durable_config = DurableConfig::from_env()?;
     let mut store = if scenario.store_dir.join("meta.bin").exists() {
         DurableCoordinator::recover(&graph, &partition, durable_config, &scenario.store_dir)
             .map_err(|e| format!("recover: {e}"))?

@@ -1,10 +1,12 @@
 //! Golden-trace regression tests for the unified round kernel.
 //!
 //! The traces in `tests/golden/round_traces.txt` were generated by the
-//! **pre-refactor** engines — the separate `MixingEngine::step_holder`,
-//! `MixingEngine::step_holder_masked`, walker-order `step`/`step_masked`
-//! and `ShardedMixingEngine::step` round loops, before they were merged
-//! into the single `ns_graph::round` plan executor.  Every scenario records
+//! **pre-refactor** engines — separate holder-order, masked holder-order,
+//! walker-order and sharded round loops, before they were merged into the
+//! single `ns_graph::round` plan executor.  Today the holder scenarios run
+//! through the single-shard `ShardedMixingEngine` (seeded like the old
+//! holder loop: shard 0's stream is `seeded_rng(seed)`) and the walker
+//! scenarios through `MixingEngine`.  Every scenario records
 //! the full per-round observable state (walker positions, holder bucket
 //! orders, sent/load statistics) plus one post-run RNG draw per stream, so
 //! any deviation in sampling order, merge order or stream consumption fails
@@ -93,22 +95,22 @@ impl RoundObserver for StatsTap {
 fn trace_holder_rounds(out: &mut String, masked: bool, mode: DrawMode) {
     let g = generators::barabasi_albert(80, 3, &mut seeded_rng(11)).unwrap();
     let n = g.node_count();
+    let partition = Partition::single_shard(&g).unwrap();
     for laziness in [0.0, 0.3] {
         writeln!(
             out,
             "# scenario holder masked={masked} n={n} laziness={laziness}"
         )
         .unwrap();
-        let mut engine = MixingEngine::one_walker_per_node(&g).unwrap();
+        let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &partition, 101).unwrap();
         engine.set_draw_mode(mode);
-        let mut rng = seeded_rng(101);
         for round in 1..=6 {
             let mut tap = StatsTap::default();
             if masked {
                 let mask = mask_for_round(n, round);
-                engine.step_holder_masked(laziness, &mask, &mut rng, &mut tap);
+                engine.step_masked(laziness, &mask, &mut tap);
             } else {
-                engine.step_holder(laziness, &mut rng, &mut tap);
+                engine.step(laziness, &mut tap);
             }
             record_round(
                 out,
@@ -118,7 +120,7 @@ fn trace_holder_rounds(out: &mut String, masked: bool, mode: DrawMode) {
                 Some((&tap.sent, &tap.load)),
             );
         }
-        writeln!(out, "rng-draw {}", rng.gen::<u64>()).unwrap();
+        writeln!(out, "rng-draw {}", engine.shard_rng_mut(0).gen::<u64>()).unwrap();
     }
 }
 
@@ -141,7 +143,6 @@ fn trace_walker_rounds(out: &mut String, masked: bool, mode: DrawMode) {
             } else {
                 engine.step(laziness, &mut rng);
             }
-            engine.ensure_buckets();
             record_round(
                 out,
                 round,
@@ -192,8 +193,8 @@ fn trace_sharded_rounds(out: &mut String, shards: usize, mode: DrawMode) {
     }
 }
 
-/// The 1-shard sharded engine consumes `shard_stream(seed, 0)`, which must
-/// stay `seeded_rng(seed)` — pin that contract alongside the traces.
+/// The 1-shard engine consumes `shard_stream(seed, 0)`, which must stay
+/// `seeded_rng(seed)` — pin that contract alongside the traces.
 fn trace_stream_identity(out: &mut String) {
     writeln!(out, "# scenario stream-identity").unwrap();
     let mut base = seeded_rng(303);

@@ -1,5 +1,5 @@
 //! Online repartitioning: live cut metrics, bounded label-propagation
-//! refinement, the engine's mid-run `migrate` exchange and the accountant's
+//! refinement, the engine's mid-run migration exchange and the accountant's
 //! delta-round pricing of churn + migration.
 //!
 //! The contracts pinned here:
@@ -11,12 +11,12 @@
 //!   ascending, assignment differs *exactly* at the movers), never
 //!   increases the live cut, and materializes via
 //!   [`Partition::from_assignment`];
-//! * [`ShardedMixingEngine::migrate`] rebuilds every shard's buckets as a
-//!   pure function of `(positions, partition)` — bitwise the buckets of a
-//!   fresh engine started from the same positions — while positions, the
-//!   round counter, load and the per-shard RNG streams carry over, and all
-//!   three entry points (`migrate` / `migrate_owned` / `migrate_into`)
-//!   are interchangeable;
+//! * [`ShardedMixingEngine::migrate_owned`] rebuilds every shard's buckets
+//!   as a pure function of `(positions, partition)` — bitwise the buckets
+//!   of a fresh engine started from the same positions — while positions,
+//!   the round counter, load and the per-shard RNG streams carry over, and
+//!   both entry points (`migrate_owned` / `migrate_borrowed_into`) are
+//!   interchangeable;
 //! * the [`StreamingAccountant`] delta path (speculate + commit) prices a
 //!   churn-plus-migration history **exactly** like the scheduled dense
 //!   path: equal [`RowStats`] every round, movers masked for the round
@@ -181,7 +181,7 @@ fn migrate_rebuckets_like_a_fresh_engine_and_preserves_state() {
     }
     let new = Partition::from_assignment(&g, 4, assignment).unwrap();
 
-    let movers = engine.migrate(&new).unwrap();
+    let movers = engine.migrate_owned(new.clone()).unwrap();
     assert_eq!(movers, expected_movers);
     assert_eq!(engine.positions(), positions_before.as_slice());
     assert_eq!(engine.load_vector(), load_before);
@@ -207,8 +207,8 @@ fn migrate_rebuckets_like_a_fresh_engine_and_preserves_state() {
     }
 }
 
-/// `migrate`, `migrate_owned` and `migrate_into` are interchangeable: the
-/// same migration through each entry point leaves three engines bitwise
+/// `migrate_owned` and `migrate_borrowed_into` are interchangeable: the
+/// same migration through each entry point leaves the engines bitwise
 /// identical through further masked rounds.
 #[test]
 fn migration_entry_points_are_interchangeable_and_deterministic() {
@@ -216,11 +216,9 @@ fn migration_entry_points_are_interchangeable_and_deterministic() {
     let old = Partition::new(&g, 3).unwrap();
     let mut a = ShardedMixingEngine::one_walker_per_node(&g, &old, 7).unwrap();
     let mut b = ShardedMixingEngine::one_walker_per_node(&g, &old, 7).unwrap();
-    let mut c = ShardedMixingEngine::one_walker_per_node(&g, &old, 7).unwrap();
     for _ in 0..6 {
         a.step(0.2, &mut ());
         b.step(0.2, &mut ());
-        c.step(0.2, &mut ());
     }
     let mut assignment: Vec<u32> = (0..120).map(|u| old.shard_of(u) as u32).collect();
     for u in (0..120).step_by(5) {
@@ -228,12 +226,10 @@ fn migration_entry_points_are_interchangeable_and_deterministic() {
     }
     let new = Partition::from_assignment(&g, 3, assignment).unwrap();
 
-    let movers_a = a.migrate(&new).unwrap();
+    let mut movers_a = vec![usize::MAX; 3]; // stale contents must be cleared
+    a.migrate_borrowed_into(&new, &mut movers_a).unwrap();
     let movers_b = b.migrate_owned(new.clone()).unwrap();
-    let mut movers_c = vec![usize::MAX; 3]; // stale contents must be cleared
-    c.migrate_into(new.clone(), &mut movers_c).unwrap();
     assert_eq!(movers_a, movers_b);
-    assert_eq!(movers_a, movers_c);
 
     // Mask the movers for the exchange round, then run clear rounds.
     let mut mask = vec![true; 120];
@@ -242,16 +238,12 @@ fn migration_entry_points_are_interchangeable_and_deterministic() {
     }
     a.step_masked(0.2, &mask, &mut ());
     b.step_masked(0.2, &mask, &mut ());
-    c.step_masked(0.2, &mask, &mut ());
     for _ in 0..5 {
         a.step(0.2, &mut ());
         b.step(0.2, &mut ());
-        c.step(0.2, &mut ());
     }
     assert_eq!(a.positions(), b.positions());
-    assert_eq!(a.positions(), c.positions());
     assert_eq!(a.walkers_by_holder(), b.walkers_by_holder());
-    assert_eq!(a.walkers_by_holder(), c.walkers_by_holder());
 }
 
 #[test]
@@ -262,10 +254,10 @@ fn migrate_rejects_mismatched_partitions() {
     // Wrong node count.
     let small = ns_graph::generators::random_regular(40, 4, &mut seeded_rng(71)).unwrap();
     let wrong_n = Partition::new(&small, 4).unwrap();
-    assert!(engine.migrate(&wrong_n).is_err());
+    assert!(engine.migrate_owned(wrong_n).is_err());
     // Wrong shard count (RNG streams are per-shard state).
     let wrong_k = Partition::new(&g, 5).unwrap();
-    assert!(engine.migrate(&wrong_k).is_err());
+    assert!(engine.migrate_owned(wrong_k).is_err());
     // The failed migrations left the engine usable.
     engine.step(0.0, &mut ());
     assert_eq!(engine.round(), 1);

@@ -107,23 +107,23 @@ impl RoundObserver for StatsTap {
 fn trace_holder_rounds(out: &mut String, masked: bool, mode: DrawMode, registry: &MetricsRegistry) {
     let g = generators::barabasi_albert(80, 3, &mut seeded_rng(11)).unwrap();
     let n = g.node_count();
+    let partition = Partition::single_shard(&g).unwrap();
     for laziness in [0.0, 0.3] {
         writeln!(
             out,
             "# scenario holder masked={masked} n={n} laziness={laziness}"
         )
         .unwrap();
-        let mut engine = MixingEngine::one_walker_per_node(&g).unwrap();
+        let mut engine = ShardedMixingEngine::one_walker_per_node(&g, &partition, 101).unwrap();
         engine.set_draw_mode(mode);
         engine.set_telemetry(Some(EngineTelemetry::register(registry)));
-        let mut rng = seeded_rng(101);
         for round in 1..=6 {
             let mut tap = StatsTap::default();
             if masked {
                 let mask = mask_for_round(n, round);
-                engine.step_holder_masked(laziness, &mask, &mut rng, &mut tap);
+                engine.step_masked(laziness, &mask, &mut tap);
             } else {
-                engine.step_holder(laziness, &mut rng, &mut tap);
+                engine.step(laziness, &mut tap);
             }
             record_round(
                 out,
@@ -133,7 +133,7 @@ fn trace_holder_rounds(out: &mut String, masked: bool, mode: DrawMode, registry:
                 Some((&tap.sent, &tap.load)),
             );
         }
-        writeln!(out, "rng-draw {}", rng.gen::<u64>()).unwrap();
+        writeln!(out, "rng-draw {}", engine.shard_rng_mut(0).gen::<u64>()).unwrap();
     }
 }
 
@@ -157,7 +157,6 @@ fn trace_walker_rounds(out: &mut String, masked: bool, mode: DrawMode, registry:
             } else {
                 engine.step(laziness, &mut rng);
             }
-            engine.ensure_buckets();
             record_round(
                 out,
                 round,

@@ -2,16 +2,17 @@
 //!
 //! The sharded engine's contract, at integration level:
 //!
-//! * under the canonical 1-shard partition the engine — and the whole
-//!   service path on top of it — is **bit for bit** the single
-//!   [`MixingEngine`] / [`run_protocol`] path: positions, bucket orders,
-//!   RNG stream, submissions and [`TrafficMetrics`];
+//! * under the canonical 1-shard partition the service path is **bit for
+//!   bit** [`run_protocol`]: walk, RNG stream, submissions and
+//!   [`TrafficMetrics`];
 //! * for `k > 1` the result is a pure function of `(seed, partition)`:
-//!   invariant to the order shards are sampled in and (with the `parallel`
-//!   feature, which the root test target enables) to threaded execution;
+//!   invariant to the order shards are sampled in and to threaded
+//!   execution (`step` samples shards on scoped threads under the
+//!   `parallel` feature, which the root test target enables) — positions,
+//!   bucket orders, traffic statistics and every shard's RNG stream;
 //! * the k-shard stream split is a *different but equally distributed*
 //!   realization of the same walk: aggregate mixing statistics agree with
-//!   the single-engine run within Monte-Carlo tolerance.
+//!   the 1-shard run within Monte-Carlo tolerance.
 
 mod common;
 
@@ -19,47 +20,62 @@ use common::strategies;
 use network_shuffle::prelude::*;
 use network_shuffle::service::{CoordinatorConfig, ShuffleCoordinator};
 use network_shuffle::simulation::{run_protocol, SimulationConfig, SimulationOutcome};
-use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
-use ns_graph::sharded_engine::{shard_stream, ShardedMixingEngine};
+use ns_graph::sharded_engine::ShardedMixingEngine;
 use proptest::prelude::*;
 use rand::Rng;
 
-/// 1-shard degeneracy at the engine layer: positions, bucket orders, the
-/// per-round statistics stream (via [`TrafficRecorder`]) and the RNG stream
-/// itself all coincide with the single engine.
+/// Threaded `step` / `step_masked` (the `parallel` feature is on for the
+/// root tests) against the sequential `step_in_order(0..k)` schedule, for
+/// k ∈ {2, 5}, masked and unmasked, in both draw modes: positions, bucket
+/// orders, the per-round statistics stream (via [`TrafficRecorder`]) and
+/// every shard's RNG stream coincide.
 #[test]
-fn one_shard_engine_is_bitwise_the_single_engine_path() {
+fn threaded_step_is_bitwise_the_in_order_schedule() {
     let graph = ns_graph::generators::barabasi_albert(400, 4, &mut seeded_rng(1)).unwrap();
-    let partition = Partition::single_shard(&graph).unwrap();
-    for (seed, laziness, rounds) in [(7u64, 0.0, 30), (8, 0.25, 25), (9, 0.6, 15)] {
-        let mut sharded =
-            ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
-        let mut sharded_recorder = TrafficRecorder::new(400);
-        for _ in 0..rounds {
-            sharded.step(laziness, &mut sharded_recorder);
+    let mask: Vec<bool> = (0..400).map(|u| u % 6 != 1).collect();
+    for k in [2usize, 5] {
+        let partition = Partition::new(&graph, k).unwrap();
+        let order: Vec<usize> = (0..k).collect();
+        for mode in [DrawMode::Compat, DrawMode::Fast] {
+            for (seed, laziness, rounds, masked) in [
+                (7u64, 0.0, 30, false),
+                (8, 0.25, 25, true),
+                (9, 0.6, 15, false),
+            ] {
+                let available = masked.then_some(mask.as_slice());
+                let mut threaded =
+                    ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
+                let mut sequential =
+                    ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
+                threaded.set_draw_mode(mode);
+                sequential.set_draw_mode(mode);
+                let mut threaded_recorder = TrafficRecorder::new(400);
+                let mut sequential_recorder = TrafficRecorder::new(400);
+                for _ in 0..rounds {
+                    match available {
+                        Some(m) => threaded.step_masked(laziness, m, &mut threaded_recorder),
+                        None => threaded.step(laziness, &mut threaded_recorder),
+                    }
+                    sequential.step_in_order(laziness, available, &order, &mut sequential_recorder);
+                }
+                let what = format!("k={k} {mode:?} seed {seed} masked={masked}");
+                assert_eq!(threaded.positions(), sequential.positions(), "{what}");
+                assert_eq!(threaded.walkers_by_holder(), sequential.walkers_by_holder());
+                assert_eq!(
+                    threaded_recorder.into_metrics(400),
+                    sequential_recorder.into_metrics(400),
+                    "traffic metrics diverged: {what}"
+                );
+                for s in 0..k {
+                    let a: u64 = threaded.shard_rng_mut(s).gen();
+                    let b: u64 = sequential.shard_rng_mut(s).gen();
+                    assert_eq!(a, b, "shard {s} RNG stream diverged: {what}");
+                }
+            }
         }
-
-        let mut single = MixingEngine::one_walker_per_node(&graph).unwrap();
-        let mut rng = shard_stream(seed, 0);
-        let mut single_recorder = TrafficRecorder::new(400);
-        for _ in 0..rounds {
-            single.step_holder(laziness, &mut rng, &mut single_recorder);
-        }
-
-        assert_eq!(sharded.positions(), single.positions(), "seed {seed}");
-        assert_eq!(sharded.walkers_by_holder(), single.walkers_by_holder());
-        assert_eq!(
-            sharded_recorder.clone().into_metrics(400),
-            single_recorder.clone().into_metrics(400),
-            "traffic metrics diverged at seed {seed}"
-        );
-        // The RNG streams are in the same state: the next draw coincides.
-        let a: u64 = sharded.shard_rng_mut(0).gen();
-        let b: u64 = rng.gen();
-        assert_eq!(a, b, "RNG stream diverged at seed {seed}");
     }
 }
 
@@ -153,7 +169,7 @@ fn multi_shard_coordinator_conserves_reports() {
 }
 
 /// The k-shard split streams realize the *same walk distribution* as the
-/// single engine: over many seeds, the return-to-origin rate and the
+/// 1-shard engine: over many seeds, the return-to-origin rate and the
 /// empty-holder fraction after mixing agree within Monte-Carlo tolerance.
 #[test]
 fn multi_shard_runs_are_statistically_equivalent_to_single_engine_runs() {
@@ -161,35 +177,31 @@ fn multi_shard_runs_are_statistically_equivalent_to_single_engine_runs() {
         let mut rng = seeded_rng(4);
         ns_graph::generators::random_regular(400, 8, &mut rng).unwrap()
     };
-    let partition = Partition::new(&graph, 4).unwrap();
+    let sharded_partition = Partition::new(&graph, 4).unwrap();
+    let single_partition = Partition::single_shard(&graph).unwrap();
     let rounds = 12;
     let trials = 60u64;
     let stats = |sharded: bool| -> (f64, f64) {
+        let partition = if sharded {
+            &sharded_partition
+        } else {
+            &single_partition
+        };
         let (mut returned, mut empty) = (0usize, 0usize);
         for trial in 0..trials {
-            let positions: Vec<u32> = if sharded {
-                let mut engine =
-                    ShardedMixingEngine::one_walker_per_node(&graph, &partition, 1000 + trial)
-                        .unwrap();
-                for _ in 0..rounds {
-                    engine.step(0.0, &mut ());
-                }
-                engine.positions().to_vec()
-            } else {
-                let mut engine = MixingEngine::one_walker_per_node(&graph).unwrap();
-                let mut rng = seeded_rng(1000 + trial);
-                for _ in 0..rounds {
-                    engine.step_holder(0.0, &mut rng, &mut ());
-                }
-                engine.positions().to_vec()
-            };
+            let mut engine =
+                ShardedMixingEngine::one_walker_per_node(&graph, partition, 1000 + trial).unwrap();
+            for _ in 0..rounds {
+                engine.step(0.0, &mut ());
+            }
+            let positions = engine.positions();
             returned += positions
                 .iter()
                 .enumerate()
                 .filter(|&(w, &p)| w == p as usize)
                 .count();
             let mut load = vec![0usize; 400];
-            for &p in &positions {
+            for &p in positions {
                 load[p as usize] += 1;
             }
             empty += load.iter().filter(|&&l| l == 0).count();
@@ -235,11 +247,12 @@ proptest! {
         let mut forward = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
         let mut backward = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
         let mut threaded = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
+        let ascending: Vec<usize> = (0..k).collect();
         let reversed: Vec<usize> = (0..k).rev().collect();
         for _ in 0..rounds {
-            forward.step(laziness, &mut ());
-            backward.step_in_order(laziness, &reversed, &mut ());
-            threaded.step_threaded(laziness, &mut ());
+            forward.step_in_order(laziness, None, &ascending, &mut ());
+            backward.step_in_order(laziness, None, &reversed, &mut ());
+            threaded.step(laziness, &mut ());
         }
         prop_assert_eq!(forward.positions(), backward.positions());
         prop_assert_eq!(forward.positions(), threaded.positions());

@@ -5,16 +5,17 @@
 //! engines against traces captured from the *pre-refactor* code; this file
 //! proves the same contracts property-style on the shared graph zoo:
 //!
-//! * the refactored masked/static holder-order path is draw-for-draw the
-//!   historical message-passing loop (an independent reference
-//!   implementation kept verbatim below);
-//! * sharded + masked under a 1-shard partition is bitwise
-//!   `MixingEngine::step_holder_masked`;
+//! * the refactored masked/static holder-order path — the single-shard
+//!   `ShardedMixingEngine` — is draw-for-draw the historical
+//!   message-passing loop (an independent reference implementation kept
+//!   verbatim below);
+//! * sharded + masked rounds under threaded sampling are bitwise the
+//!   sequential `step_in_order` schedule, in both draw modes;
 //! * an all-available mask through the sharded path is bitwise the
 //!   unmasked sharded round;
 //! * the 1-shard coordinator under a realized outage schedule is bitwise
 //!   `run_protocol_under_outages` — the composed service path degenerates
-//!   to the monolithic churn path exactly.
+//!   to the simulation's churn path exactly.
 
 mod common;
 
@@ -24,11 +25,10 @@ use network_shuffle::service::{CoordinatorConfig, ShuffleCoordinator};
 use network_shuffle::simulation::{
     run_protocol_under_outages, SimulationConfig, SimulationOutcome,
 };
-use ns_graph::mixing_engine::MixingEngine;
 use ns_graph::partition::Partition;
 use ns_graph::rng::seeded_rng;
 use ns_graph::round::DrawMode;
-use ns_graph::sharded_engine::{shard_stream, ShardedMixingEngine};
+use ns_graph::sharded_engine::ShardedMixingEngine;
 use ns_graph::{Graph, NodeId};
 use proptest::prelude::*;
 use rand::Rng;
@@ -108,52 +108,62 @@ proptest! {
         prop_assume!(n >= 8);
         let laziness = laziness_pct as f64 / 100.0;
         let masked = masked_sel == 1;
-        let mut engine = MixingEngine::one_walker_per_node(&graph).unwrap();
+        let partition = Partition::single_shard(&graph).unwrap();
+        let mut engine = ShardedMixingEngine::one_walker_per_node(&graph, &partition, 0xFEED).unwrap();
         let mut reference = ReferenceLoop::new(n);
-        let mut engine_rng = seeded_rng(0xFEED);
         let mut reference_rng = seeded_rng(0xFEED);
         for round in 0..rounds {
             if masked {
                 let mask = mask_for_round(n, round);
-                engine.step_holder_masked(laziness, &mask, &mut engine_rng, &mut ());
+                engine.step_masked(laziness, &mask, &mut ());
                 reference.step(&graph, laziness, Some(&mask), &mut reference_rng);
             } else {
-                engine.step_holder(laziness, &mut engine_rng, &mut ());
+                engine.step(laziness, &mut ());
                 reference.step(&graph, laziness, None, &mut reference_rng);
             }
         }
         prop_assert_eq!(engine.walkers_by_holder(), reference.holders());
-        let a: u64 = engine_rng.gen();
+        let a: u64 = engine.shard_rng_mut(0).gen();
         let b: u64 = reference_rng.gen();
         prop_assert_eq!(a, b, "RNG streams diverged");
     }
 
-    /// (b) Sharded + masked under a 1-shard partition is bitwise
-    /// `step_holder_masked` — positions, bucket orders and RNG stream.
+    /// (b) Masked sharded rounds with threaded sampling (the `parallel`
+    /// feature is on for the root tests) are bitwise the sequential
+    /// `step_in_order(0..k)` schedule — positions, bucket orders and every
+    /// shard's RNG stream — for k ∈ {2, 5} in both draw modes.
     #[test]
-    fn one_shard_masked_rounds_are_bitwise_the_single_engine(
+    fn threaded_masked_rounds_are_bitwise_the_in_order_schedule(
         graph in strategies::graph_zoo(20..120),
         laziness_pct in 0usize..60,
         rounds in 1usize..8,
+        five_shards in 0usize..2,
+        fast in 0usize..2,
     ) {
         let n = graph.node_count();
         prop_assume!(n >= 8);
         let laziness = laziness_pct as f64 / 100.0;
-        let partition = Partition::single_shard(&graph).unwrap();
+        let k = if five_shards == 1 { 5 } else { 2 };
+        let mode = if fast == 1 { DrawMode::Fast } else { DrawMode::Compat };
+        let partition = Partition::new(&graph, k).unwrap();
+        let order: Vec<usize> = (0..k).collect();
         let seed = 0xBEEF;
-        let mut sharded = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
-        let mut single = MixingEngine::one_walker_per_node(&graph).unwrap();
-        let mut rng = shard_stream(seed, 0);
+        let mut threaded = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
+        let mut sequential = ShardedMixingEngine::one_walker_per_node(&graph, &partition, seed).unwrap();
+        threaded.set_draw_mode(mode);
+        sequential.set_draw_mode(mode);
         for round in 0..rounds {
             let mask = mask_for_round(n, round);
-            sharded.step_masked(laziness, &mask, &mut ());
-            single.step_holder_masked(laziness, &mask, &mut rng, &mut ());
+            threaded.step_masked(laziness, &mask, &mut ());
+            sequential.step_in_order(laziness, Some(&mask), &order, &mut ());
         }
-        prop_assert_eq!(sharded.positions(), single.positions());
-        prop_assert_eq!(sharded.walkers_by_holder(), single.walkers_by_holder());
-        let a: u64 = sharded.shard_rng_mut(0).gen();
-        let b: u64 = rng.gen();
-        prop_assert_eq!(a, b, "RNG streams diverged");
+        prop_assert_eq!(threaded.positions(), sequential.positions());
+        prop_assert_eq!(threaded.walkers_by_holder(), sequential.walkers_by_holder());
+        for s in 0..k {
+            let a: u64 = threaded.shard_rng_mut(s).gen();
+            let b: u64 = sequential.shard_rng_mut(s).gen();
+            prop_assert_eq!(a, b, "shard {} RNG stream diverged", s);
+        }
     }
 
     /// (c) An all-available mask through the sharded path is bitwise the
@@ -180,7 +190,7 @@ proptest! {
         for _ in 0..rounds {
             masked.step_masked(laziness, &mask, &mut ());
             plain.step(laziness, &mut ());
-            reordered.step_masked_in_order(laziness, &mask, &reversed, &mut ());
+            reordered.step_in_order(laziness, Some(&mask), &reversed, &mut ());
         }
         prop_assert_eq!(masked.positions(), plain.positions());
         prop_assert_eq!(masked.walkers_by_holder(), plain.walkers_by_holder());
